@@ -70,7 +70,10 @@ def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
         return args.budget
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"SEMIPRIME_LAB_BUDGET must be an integer, got {env!r}") from None
     return DEFAULT_BUDGET
 
 
@@ -267,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="semiprime-lab",
         description="Ideals and closure/semiprime/prime operations in K[[t^S]] over small prime fields.",
     )
-    top.add_argument("--threads", type=int, default=1,
-                     help="worker cap (the current implementation is sequential and deterministic)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("semigroup", help="gaps, Frobenius number and conductor of <gens>")
@@ -344,6 +345,9 @@ def main(argv=None) -> int:
     except SemigroupRingError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a malformed value given on the command line
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -50,7 +50,6 @@ class ClosureOperation:
     kind: str  # "rule" | "table"
     fn: object = None
     table: dict = None
-    includes_zero: bool = True
 
     def __call__(self, x):
         if self.kind == "rule":
@@ -138,6 +137,20 @@ class IdealSetDomain:
     def describe(self, x) -> str:
         return ideal_label(x)
 
+    key = staticmethod(canonical_key)
+
+    def search_seeds(self, prime: bool):
+        """Ideals every searched operation fixes: the unit, and in prime mode
+        also the zero and the proper principal ideals."""
+        seeds = [I for I in self.elements if I.is_unit() or (prime and I.is_zero())]
+        return seeds + self.principals() if prime else seeds
+
+    @staticmethod
+    def branch_key(I):
+        """Search branching order: larger ideals first, so every proper
+        superset of I is decided before I; the zero ideal last."""
+        return (I.is_zero(), I.order, -len(I.window), I.window)
+
 
 class ChainDomain:
     """A totally ordered chain of fractional ideals indexed by integers.
@@ -178,6 +191,18 @@ class ChainDomain:
 
     def describe(self, x) -> str:
         return self._label(x)
+
+    @staticmethod
+    def key(i):
+        return i
+
+    # ascending index: every f(i) <= i is decided before i is branched on
+    branch_key = key
+
+    def search_seeds(self, prime: bool):
+        """Indices every searched operation fixes: R, and in prime mode every
+        other index too (all chain members are principal)."""
+        return [0] + self.principals() if prime else [0]
 
 
 @dataclass
@@ -569,49 +594,10 @@ def fractional_violation(chain: FractionalChain, candidate) -> FractionalOutcome
         for j in range(-D, D + 1):
             if -D <= i + j <= D and f[i] + f[j] < f[i + j]:
                 return witness(i, j, "product axiom fails")
-    identity = all(f[i] == i for i in range(-D, D + 1))
-    if identity and _chain_identity_only(D, margin=2):
-        return FractionalOutcome("certified_identity_only", None, True)
+    if all(f[i] == i for i in range(-D, D + 1)):
+        from .search import search_fractional_chain  # search imports this module
+
+        if search_fractional_chain(D, margin=2).is_identity_only():
+            return FractionalOutcome("certified_identity_only", None, True)
     return FractionalOutcome("no_violation_found", None, False)
 
-
-def _chain_semiprime_tables(D: int):
-    """All product-consistent closure tables on the chain [-D, D].
-
-    A closure table is the retraction onto its fixed-point set F (which must
-    contain -D); the product axiom is then checked exhaustively in-window.
-    """
-    from itertools import combinations
-
-    idx = list(range(-D, D + 1))
-    rest = [i for i in idx if i != -D]
-    out = []
-    for k in range(len(rest) + 1):
-        for extra in combinations(rest, k):
-            F = sorted({-D, *extra})
-            f = {}
-            for i in idx:
-                f[i] = max(x for x in F if x <= i)
-            ok = True
-            for i in idx:
-                for j in idx:
-                    if -D <= i + j <= D and f[i] + f[j] < f[i + j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(f)
-    return out
-
-
-def _chain_identity_only(D: int, margin: int) -> bool:
-    """Exhaustive search over the chain window, with extension stability."""
-    small = _chain_semiprime_tables(D)
-    big = _chain_semiprime_tables(D + margin)
-    restrictions = set()
-    for T in big:
-        if all(-D <= T[i] <= D for i in range(-D, D + 1)):
-            restrictions.add(tuple(sorted((i, T[i]) for i in range(-D, D + 1))))
-    survivors = [T for T in small if tuple(sorted(T.items())) in restrictions]
-    return len(survivors) == 1 and all(v == k for k, v in survivors[0].items())

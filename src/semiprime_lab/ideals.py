@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations, product as iter_product
+from itertools import product as iter_product
 
 from .errors import (
     FieldMismatch,
@@ -430,13 +430,12 @@ def enumerate_ideals(ring: Ring, max_order: int, budget: int = 2_000_000) -> lis
     patterns: dict[int, list[tuple[int, ...]]] = {}
     for n in orders:
         allowed = [j for j in range(c) if S.contains(n + j)]
+        rest = allowed[1:]
         pats = []
-        for k in range(len(allowed)):
-            for extra in combinations(allowed[1:], k):
-                pivots = (0,) + extra
-                free = _free_positions(pivots, allowed)
-                total += p ** len(free)
-                pats.append(pivots)
+        for mask in range(1 << len(rest)):
+            pivots = (0,) + tuple(j for b, j in enumerate(rest) if mask >> b & 1)
+            total += p ** len(_free_positions(pivots, allowed))
+            pats.append(pivots)
         patterns[n] = pats
     if total > budget:
         raise InfeasibleEnumeration(f"{total} candidate matrices exceed budget {budget}")

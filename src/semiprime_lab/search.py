@@ -1,10 +1,11 @@
 """Exhaustive, pruned search for prime and semiprime operations on a finite
-ideal window.
+window: an ideal window (``IdealSetDomain``) or a fractional chain
+(``ChainDomain``).
 
-Prime mode seeds every principal ideal (and the unit and zero ideals) as
-fixed, then branches only on the ideals that are not a principal multiple
-of a shallower ideal; all other values follow by propagating the scaling
-law f(b.I) = b.f(I) through a trail-based constraint queue.  A candidate
+The domain names the seeds every operation fixes (the unit; in prime mode
+also the zero and the principal ideals) and the order in which the other
+elements are branched on.  Prime mode then propagates the scaling law
+f(b.I) = b.f(I) through a trail-based constraint queue.  A candidate
 value for f(I) is always an already-fixed superset of I (or I itself), so
 idempotence is built into the branching.  Product instances are checked as
 soon as both factors and the product are assigned; instances whose product
@@ -18,13 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .closures import ClosureOperation, IdealSetDomain, check_axioms
-from .ideals import (
-    Ring,
-    canonical_key,
-    enumerate_ideals,
-    zero_ideal,
-)
+from .closures import ChainDomain, ClosureOperation, IdealSetDomain, check_axioms
+from .ideals import Ring, enumerate_ideals, zero_ideal
 from .semigroup import from_generators
 from .series import PrimeField
 
@@ -68,24 +64,18 @@ class SearchResult:
 
 
 class _Searcher:
-    def __init__(self, domain: IdealSetDomain, mode: str, budget: int, stats: dict):
+    """Depth-first search for every table on ``domain`` that passes the
+    incremental axiom checks of ``mode``."""
+
+    def __init__(self, domain, mode: str, budget: int, stats: dict):
         self.domain = domain
         self.mode = mode
         self.budget = budget
         self.stats = stats
         elts = domain.elements
-        self.unit = domain.unit_element()
-        self.zero = next((I for I in elts if I.is_zero()), None)
-        principal = set(domain.principals())
-        propers = [I for I in elts if I.is_proper()]
-        if mode == PRIME:
-            variables = [I for I in propers if I not in principal]
-        else:
-            variables = list(propers)
-        variables.sort(key=lambda I: (I.order, -len(I.window), I.window))
-        if self.zero is not None and mode == SEMIPRIME:
-            variables.append(self.zero)  # processed last: its constraints need the rest
-        self.variables = variables
+        seeds = domain.search_seeds(mode == PRIME)
+        fixed = set(seeds)
+        self.variables = sorted((x for x in elts if x not in fixed), key=domain.branch_key)
         self.assign: dict = {}
         self.trail: list = []
         self.found: list[dict] = []
@@ -109,14 +99,8 @@ class _Searcher:
                     skipped += 1
         stats["skipped_product_instances"] = stats.get("skipped_product_instances", 0) + skipped
         self.principal_list = domain.principals() if mode == PRIME else []
-        # seeds
-        seeds = [(self.unit, self.unit)] if self.unit is not None else []
-        if mode == PRIME:
-            if self.zero is not None:
-                seeds.append((self.zero, self.zero))
-            seeds.extend((P, P) for P in domain.principals())
-        for x, v in seeds:
-            if not self._propagate(x, v, "seed"):
+        for x in seeds:
+            if not self._propagate(x, x, "seed"):
                 raise AssertionError("inconsistent seeds")
         self.base_trail = len(self.trail)
 
@@ -127,7 +111,7 @@ class _Searcher:
 
     def _prune(self, cause: str, var, val):
         self.prunes[cause] = self.prunes.get(cause, 0) + 1
-        key = (canonical_key(var), canonical_key(val))
+        key = (self.domain.key(var), self.domain.key(val))
         if key not in self.eliminations:
             self.eliminations[key] = (str(var), str(val), cause)
 
@@ -221,48 +205,59 @@ class _Searcher:
         self.found.append(dict(self.assign))
 
 
-def _table_key(table):
-    return tuple(sorted((canonical_key(k), canonical_key(v)) for k, v in table.items()))
+def _table_key(domain, table):
+    return tuple(sorted((domain.key(k), domain.key(v)) for k, v in table.items()))
 
 
-def _window_search(ring: Ring, max_order: int, mode: str, include_zero: bool,
-                   budget: int, stats: dict):
-    ideals = enumerate_ideals(ring, max_order)
-    if include_zero:
-        ideals.append(zero_ideal(ring))
-    domain = IdealSetDomain(ideals)
-    searcher = _Searcher(domain, mode, budget, stats)
-    tables = searcher.run()
-    tables.sort(key=_table_key)
-    return tables, domain
+def _search_window(domain, mode: str, budget: int, stats: dict):
+    tables = _Searcher(domain, mode, budget, stats).run()
+    tables.sort(key=lambda T: _table_key(domain, T))
+    return tables
 
 
-def _search_with_extension(ring: Ring, max_order: int, mode: str, margin: int,
-                           include_zero: bool, budget: int) -> SearchResult:
+def _extension_search(window, size: int, margin: int, mode: str, budget: int) -> SearchResult:
+    """The tables on ``window(size)`` that are restrictions of tables on
+    ``window(size + margin)``, each re-verified by ``check_axioms``.
+
+    The larger window is built only after the first search has finished, so
+    a run stopped by the budget there never pays for enumerating it.
+    """
     stats: dict = {}
-    small_tables, small_domain = _window_search(ring, max_order, mode, include_zero, budget, stats)
+    small_domain = window(size)
+    small_tables = _search_window(small_domain, mode, budget, stats)
     stats["window_candidates"] = len(small_tables)
     big_stats: dict = {}
-    big_tables, _ = _window_search(ring, max_order + margin, mode, include_zero, budget, big_stats)
+    big_tables = _search_window(window(size + margin), mode, budget, big_stats)
     stats["extension_nodes"] = big_stats.get("nodes", 0)
     small_set = set(small_domain.elements)
     restrictions = set()
     for T in big_tables:
         R = {k: v for k, v in T.items() if k in small_set}
         if all(v in small_set for v in R.values()):
-            restrictions.add(_table_key(R))
-    survivors = [T for T in small_tables if _table_key(T) in restrictions]
+            restrictions.add(_table_key(small_domain, R))
+    survivors = [T for T in small_tables if _table_key(small_domain, T) in restrictions]
     stats["extension_discarded"] = len(small_tables) - len(survivors)
     ops = []
     axioms = (1, 2, 3, 4, 5) if mode == PRIME else (1, 2, 3, 4)
     for idx, T in enumerate(survivors):
         name = "identity" if all(k == v for k, v in T.items()) else f"op_{idx:02d}"
-        op = ClosureOperation(name, "table", table=T, includes_zero=include_zero)
+        op = ClosureOperation(name, "table", table=T)
         # cross-module re-verification: never trust the search's own bookkeeping
         if not check_axioms(op, small_domain, axioms).passed():
             raise AssertionError(f"search produced an inconsistent table {name}")
         ops.append(op)
     return SearchResult(ops, stats, small_domain.elements)
+
+
+def _search_with_extension(ring: Ring, max_order: int, mode: str, margin: int,
+                           include_zero: bool, budget: int) -> SearchResult:
+    def window(n):
+        ideals = enumerate_ideals(ring, n)
+        if include_zero:
+            ideals.append(zero_ideal(ring))
+        return IdealSetDomain(ideals)
+
+    return _extension_search(window, max_order, margin, mode, budget)
 
 
 def search_prime(problem: SearchProblem) -> SearchResult:
@@ -279,6 +274,16 @@ def search_semiprime_chain(D: int, margin: int, p: int = 2,
     stable under extension of the chain depth by ``margin``."""
     ring = Ring(from_generators([1]), PrimeField(p))
     return _search_with_extension(ring, D, SEMIPRIME, margin, True, budget)
+
+
+def search_fractional_chain(D: int, margin: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
+    """All semiprime operations on the fractional chain P^-D, ..., P^D,
+    stable under extension of the chain half-width by ``margin``.
+
+    Seeding f(R) = R loses nothing: axiom 4 at (R, R) puts f(R) inside R,
+    and axiom 1 puts R inside f(R).
+    """
+    return _extension_search(ChainDomain, D, margin, SEMIPRIME, budget)
 
 
 def explain_pruning(result: SearchResult) -> str:

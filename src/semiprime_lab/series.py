@@ -66,10 +66,6 @@ class TruncatedSeries:
     def bound(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def ring_constrained(self) -> bool:
-        return self.semigroup is not None
-
     def order(self) -> int | None:
         """Least exponent with a nonzero coefficient, None for zero."""
         for e, c in enumerate(self.coeffs):

@@ -6,7 +6,7 @@ semigroup membership by breadth-first reachability, closed-form principal
 coefficients, and full table enumeration on valuation chains.
 """
 
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 
 def vec_add(u, v, p):
@@ -162,4 +162,25 @@ def chain_closure_tables_oracle(D):
             g = dict(f)
             g["zero"] = z
             out.append(g)
+    return out
+
+
+def fractional_chain_tables_oracle(D):
+    """All product-consistent closure tables on the fractional chain [-D, D].
+
+    Index i stands for P^i, so containment is reversed index order.  A
+    closure table on a finite chain is the retraction onto its fixed-point
+    set F (which must contain -D): f(i) = max(x in F, x <= i).  Every one of
+    the 2^(2D) such sets is tried and the product axiom f(i) + f(j) >=
+    f(i + j) is checked on every in-window instance.
+    """
+    idx = list(range(-D, D + 1))
+    rest = idx[1:]
+    out = []
+    for k in range(len(rest) + 1):
+        for extra in combinations(rest, k):
+            F = [-D, *extra]
+            f = {i: max(x for x in F if x <= i) for i in idx}
+            if all(f[i] + f[j] >= f[i + j] for i in idx for j in idx if -D <= i + j <= D):
+                out.append(f)
     return out

@@ -129,3 +129,39 @@ def test_budget_env_override(capsys, monkeypatch):
                          "--max-order", "6", "--json")
     assert code == 1
     assert "BudgetExceeded" in err
+
+
+@pytest.mark.parametrize("argv, count, stats", [
+    ("search --gens 3,4,5 --p 2 --max-order 7 --margin 1", 3,
+     {"nodes": 1008, "window_candidates": 88, "extension_discarded": 85,
+      "skipped_product_instances": 1353}),
+    ("search --gens 1 --p 2 --mode semiprime --max-order 4", 10,
+     {"nodes": 51, "window_candidates": 10, "extension_discarded": 0,
+      "skipped_product_instances": 6}),
+    ("search --gens 2,5 --p 2 --max-order 8 --margin 2", 1,
+     {"nodes": 64, "window_candidates": 1, "extension_discarded": 0,
+      "skipped_product_instances": 644}),
+])
+def test_search_stats_pinned(capsys, argv, count, stats):
+    # node counts depend on the seeds and the branching order
+    payload = run_json(capsys, *argv.split())
+    assert payload["operation_count"] == count
+    assert payload["stats"] == stats
+
+
+@pytest.mark.parametrize("argv, budget", [
+    ("canon --gens 2,5 --p 4 --elem t^2", None),
+    ("canon --gens 2,5 --p 2 --elem t^^3", None),
+    ("search --gens 2,5 --p 2 --max-order 4", "abc"),
+    ("demo-fractional --gens 2,5 --s 1+t^2 --D 3 --candidate identity", None),
+    ("demo-fractional --dvr --D 0 --candidate identity", None),
+    ("verify --op dvr_f_m --gens 1 --p 2 --max-order 3", None),
+])
+def test_user_input_error_is_one_line(capsys, monkeypatch, argv, budget):
+    if budget is not None:
+        monkeypatch.setenv("SEMIPRIME_LAB_BUDGET", budget)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
