@@ -42,17 +42,19 @@ def _gens(text: str) -> list[int]:
 
 
 def _axiom_set(text: str) -> list[int]:
+    bad = argparse.ArgumentTypeError(f"axioms must be within 1..8, got {text!r}")
     out = set()
     for part in text.split(","):
         part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.update(range(int(lo), int(hi) + 1))
-        elif part:
-            out.add(int(part))
-    bad = [a for a in out if a < 1 or a > 8]
-    if bad or not out:
-        raise argparse.ArgumentTypeError(f"axioms must be within 1..8, got {text!r}")
+        if not part:
+            continue
+        lo, hi = part.split("-", 1) if "-" in part else (part, part)
+        lo, hi = int(lo), int(hi)
+        if not (1 <= lo <= 8 and 1 <= hi <= 8):  # checked before the range is built
+            raise bad
+        out.update(range(lo, hi + 1))
+    if not out:
+        raise bad
     return sorted(out)
 
 

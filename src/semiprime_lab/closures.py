@@ -1,4 +1,4 @@
-"""Closure operations, the eight axiom checkers, and fractional-chain demos.
+"""Closure operations, the axiom table and its checker, and fractional-chain demos.
 
 An operation is either a RULE (total function on canonical ideal forms)
 or a TABLE (finite map on an enumerated ideal set).  Axiom checks are
@@ -11,6 +11,7 @@ so rule checks never skip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, NamedTuple
 
 from .errors import DomainGap, PreconditionNotMet, WrongRing
 from .ideals import (
@@ -27,20 +28,6 @@ from .ideals import (
     unit_ideal,
 )
 from .series import TruncatedSeries
-
-AXIOM_NAMES = {
-    1: "extensive",
-    2: "monotone",
-    3: "idempotent",
-    4: "product",
-    5: "principal_scaling",
-    6: "sum",
-    7: "unit_fixed",
-    8: "intersection",
-}
-
-_SKIP = object()
-
 
 @dataclass
 class ClosureOperation:
@@ -61,9 +48,6 @@ class ClosureOperation:
 
     def defined_at(self, x) -> bool:
         return self.kind == "rule" or x in self.table
-
-    def is_identity_on(self, elements) -> bool:
-        return all(self(x) == x for x in elements)
 
 
 class IdealSetDomain:
@@ -213,11 +197,14 @@ class Witness:
     inputs: tuple
     values: tuple
     detail: str
-    _replay: object = dc_field(default=None, repr=False)
+    _source: tuple = dc_field(default=None, repr=False)  # (op, domain)
 
     def replay(self) -> bool:
-        """Recompute the cited instance; True iff the violation still holds."""
-        return bool(self._replay())
+        """Recompute the cited instance from the operation itself, without
+        the memo of the check; True iff the violation still holds."""
+        op, domain = self._source
+        holds, _ = AXIOMS[self.axiom].check(op, domain, *self.inputs)
+        return not holds
 
 
 @dataclass
@@ -233,7 +220,7 @@ class AxiomResult:
 
     def to_json(self, domain) -> dict:
         return {
-            "name": AXIOM_NAMES[self.axiom],
+            "name": AXIOMS[self.axiom].name,
             "verdict": self.verdict,
             "checked": self.checked,
             "skipped": self.skipped,
@@ -259,169 +246,133 @@ class AxiomReport:
         axioms = axioms if axioms is not None else self.results.keys()
         return all(not self.results[a].witnesses for a in axioms)
 
-    def witnesses(self):
-        out = []
-        for a in sorted(self.results):
-            out.extend(self.results[a].witnesses)
-        return out
-
-    def to_json(self, domain=None) -> dict:
-        desc = domain.describe if domain else str
-        dom = domain or _PlainDescriber()
+    def to_json(self, domain) -> dict:
         return {
             "op": self.op_name,
             "domain_size": self.domain_size,
             "advisory": self.advisory,
             "passed": self.passed(),
-            "axioms": {str(a): r.to_json(dom) for a, r in sorted(self.results.items())},
+            "axioms": {str(a): r.to_json(domain) for a, r in sorted(self.results.items())},
         }
 
 
-class _PlainDescriber:
-    @staticmethod
-    def describe(x):
-        return str(x)
+class _Undefined(Exception):
+    """An instance needs an operation value outside the operation's table."""
 
 
-def _apply(op, x):
-    if not op.defined_at(x):
-        return _SKIP
-    return op(x)
+class AxiomSpec(NamedTuple):
+    """One axiom: ``instances(domain)`` yields input tuples, and
+    ``check(f, domain, *inputs)`` returns ``(holds, cited_values)``."""
+
+    name: str
+    detail: str
+    instances: Callable
+    check: Callable
+
+
+def _singles(domain):
+    return ((I,) for I in domain.elements)
+
+
+def _pairs(domain):
+    return ((I, J) for I in domain.elements for J in domain.elements)
+
+
+def _extensive(f, domain, I):
+    fI = f(I)
+    return domain.contains(fI, I), (fI,)
+
+
+def _monotone(f, domain, I, J):
+    fI, fJ = f(I), f(J)
+    return domain.contains(fJ, fI), (fI, fJ)
+
+
+def _idempotent(f, domain, I):
+    fI = f(I)
+    ffI = f(fI)
+    return ffI == fI, (fI, ffI)
+
+
+def _product(f, domain, I, J):
+    fI, fJ, fK = f(I), f(J), f(domain.product(I, J))
+    lhs = domain.product(fI, fJ)
+    return domain.contains(fK, lhs), (lhs, fK)
+
+
+def _scaling(f, domain, b, I):
+    fI, fK = f(I), f(domain.product(b, I))
+    rhs = domain.product(b, fI)
+    return fK == rhs, (fK, rhs)
+
+
+def _sum(f, domain, I, J):
+    fI, fJ, fK = f(I), f(J), f(domain.sum(I, J))
+    lhs = domain.sum(fI, fJ)
+    return domain.contains(fK, lhs), (lhs, fK)
+
+
+def _unit_fixed(f, domain, R):
+    if R is None:  # a domain without the unit: one skipped instance
+        raise _Undefined
+    fR = f(R)
+    return fR == R, (fR,)
+
+
+def _intersection(f, domain, I, J):
+    M = domain.intersect(f(I), f(J))
+    fM = f(M)
+    return fM == M, (M, fM)
+
+
+AXIOMS = {
+    1: AxiomSpec("extensive", "f(I) does not contain I", _singles, _extensive),
+    2: AxiomSpec("monotone", "I <= J but f(I) !<= f(J)",
+                 lambda d: ((I, J) for I, J in _pairs(d) if I is not J and d.contains(J, I)),
+                 _monotone),
+    3: AxiomSpec("idempotent", "f(f(I)) != f(I)", _singles, _idempotent),
+    4: AxiomSpec("product", "f(I)f(J) !<= f(IJ)", _pairs, _product),
+    5: AxiomSpec("principal_scaling", "f(bI) != b.f(I)",
+                 lambda d: ((b, I) for b in d.principals() for I in d.elements), _scaling),
+    6: AxiomSpec("sum", "f(I)+f(J) !<= f(I+J)", _pairs, _sum),
+    7: AxiomSpec("unit_fixed", "f(R) != R", lambda d: [(d.unit_element(),)], _unit_fixed),
+    8: AxiomSpec("intersection", "f(I)^f(J) is not closed", _pairs, _intersection),
+}
 
 
 def check_axioms(op: ClosureOperation, domain, axioms) -> AxiomReport:
-    """Exhaustively check the requested axioms of ``op`` over ``domain``."""
-    elts = list(domain.elements)
-    results = {}
-    for ax in sorted(set(axioms)):
-        if ax not in AXIOM_NAMES:
+    """Exhaustively check the requested axioms of ``op`` over ``domain``.
+
+    Each value of ``op`` is computed once per call; an instance that needs
+    a value outside a table is counted as skipped."""
+    wanted = sorted(set(axioms))
+    for ax in wanted:
+        if ax not in AXIOMS:
             raise ValueError(f"unknown axiom {ax}")
-        res = AxiomResult(ax)
-        if ax == 1:
-            for I in elts:
-                fI = _apply(op, I)
-                if fI is _SKIP:
-                    res.skipped += 1
-                    continue
-                res.checked += 1
-                if not domain.contains(fI, I):
-                    res.witnesses.append(_w(ax, (I,), (fI,), "f(I) does not contain I",
-                                            lambda I=I, fI=fI: not domain.contains(op(I), I)))
-        elif ax == 2:
-            for I in elts:
-                for J in elts:
-                    if I is J or not domain.contains(J, I):
-                        continue  # instance only when I <= J
-                    fI, fJ = _apply(op, I), _apply(op, J)
-                    if fI is _SKIP or fJ is _SKIP:
-                        res.skipped += 1
-                        continue
-                    res.checked += 1
-                    if not domain.contains(fJ, fI):
-                        res.witnesses.append(_w(ax, (I, J), (fI, fJ),
-                                                "I <= J but f(I) !<= f(J)",
-                                                lambda I=I, J=J: not domain.contains(op(J), op(I))))
-        elif ax == 3:
-            for I in elts:
-                fI = _apply(op, I)
-                if fI is _SKIP:
-                    res.skipped += 1
-                    continue
-                ffI = _apply(op, fI)
-                if ffI is _SKIP:
-                    res.skipped += 1
-                    continue
-                res.checked += 1
-                if ffI != fI:
-                    res.witnesses.append(_w(ax, (I,), (fI, ffI), "f(f(I)) != f(I)",
-                                            lambda I=I: op(op(I)) != op(I)))
-        elif ax == 4:
-            for I in elts:
-                fI = _apply(op, I)
-                for J in elts:
-                    fJ = _apply(op, J)
-                    K = domain.product(I, J)
-                    fK = _apply(op, K)
-                    if _SKIP in (fI, fJ, fK):
-                        res.skipped += 1
-                        continue
-                    res.checked += 1
-                    lhs = domain.product(fI, fJ)
-                    if not domain.contains(fK, lhs):
-                        res.witnesses.append(_w(ax, (I, J), (lhs, fK),
-                                                "f(I)f(J) !<= f(IJ)",
-                                                lambda I=I, J=J, K=K: not domain.contains(
-                                                    op(K), domain.product(op(I), op(J)))))
-        elif ax == 5:
-            for b in domain.principals():
-                for I in elts:
-                    fI = _apply(op, I)
-                    K = domain.product(b, I)
-                    fK = _apply(op, K)
-                    if _SKIP in (fI, fK):
-                        res.skipped += 1
-                        continue
-                    res.checked += 1
-                    rhs = domain.product(b, fI)
-                    if fK != rhs:
-                        res.witnesses.append(_w(ax, (b, I), (fK, rhs),
-                                                "f(bI) != b.f(I)",
-                                                lambda b=b, I=I, K=K: op(K) != domain.product(b, op(I))))
-        elif ax == 6:
-            for I in elts:
-                fI = _apply(op, I)
-                for J in elts:
-                    fJ = _apply(op, J)
-                    K = domain.sum(I, J)
-                    fK = _apply(op, K)
-                    if _SKIP in (fI, fJ, fK):
-                        res.skipped += 1
-                        continue
-                    res.checked += 1
-                    lhs = domain.sum(fI, fJ)
-                    if not domain.contains(fK, lhs):
-                        res.witnesses.append(_w(ax, (I, J), (lhs, fK),
-                                                "f(I)+f(J) !<= f(I+J)",
-                                                lambda I=I, J=J, K=K: not domain.contains(
-                                                    op(K), domain.sum(op(I), op(J)))))
-        elif ax == 7:
-            R = domain.unit_element()
-            if R is None:
+    memo = {}
+
+    def f(x):
+        v = memo.get(x)
+        if v is None:
+            if not op.defined_at(x):
+                raise _Undefined
+            v = memo[x] = op(x)
+        return v
+
+    results = {}
+    for ax in wanted:
+        spec = AXIOMS[ax]
+        res = results[ax] = AxiomResult(ax)
+        for inputs in spec.instances(domain):
+            try:
+                holds, values = spec.check(f, domain, *inputs)
+            except _Undefined:
                 res.skipped += 1
-            else:
-                fR = _apply(op, R)
-                if fR is _SKIP:
-                    res.skipped += 1
-                else:
-                    res.checked += 1
-                    if fR != R:
-                        res.witnesses.append(_w(ax, (R,), (fR,), "f(R) != R",
-                                                lambda R=R: op(R) != R))
-        elif ax == 8:
-            for I in elts:
-                fI = _apply(op, I)
-                for J in elts:
-                    fJ = _apply(op, J)
-                    if _SKIP in (fI, fJ):
-                        res.skipped += 1
-                        continue
-                    M = domain.intersect(fI, fJ)
-                    fM = _apply(op, M)
-                    if fM is _SKIP:
-                        res.skipped += 1
-                        continue
-                    res.checked += 1
-                    if fM != M:
-                        res.witnesses.append(_w(ax, (I, J), (M, fM),
-                                                "f(I)^f(J) is not closed",
-                                                lambda I=I, J=J: op(domain.intersect(op(I), op(J)))
-                                                != domain.intersect(op(I), op(J))))
-        results[ax] = res
-    return AxiomReport(op.name, results, len(elts))
-
-
-def _w(ax, inputs, values, detail, replay):
-    return Witness(ax, tuple(inputs), tuple(values), detail, replay)
+                continue
+            res.checked += 1
+            if not holds:
+                res.witnesses.append(Witness(ax, inputs, values, spec.detail, (op, domain)))
+    return AxiomReport(op.name, results, len(domain.elements))
 
 
 def sakuma_consistency(op: ClosureOperation, domain) -> AxiomReport:

@@ -43,12 +43,6 @@ class SearchProblem:
         if self.mode not in (PRIME, SEMIPRIME):
             raise ValueError(f"mode must be prime or semiprime, got {self.mode}")
 
-    def ideals(self):
-        out = enumerate_ideals(self.ring, self.max_order)
-        if self.include_zero:
-            out.append(zero_ideal(self.ring))
-        return out
-
 
 @dataclass
 class SearchResult:
@@ -58,9 +52,6 @@ class SearchResult:
 
     def is_identity_only(self) -> bool:
         return len(self.operations) == 1 and self.operations[0].name == "identity"
-
-    def tables(self):
-        return [op.table for op in self.operations]
 
 
 class _Searcher:

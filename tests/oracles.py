@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and shares no code with the
 package internals it checks: subspace enumeration by span closure,
 semigroup membership by breadth-first reachability, closed-form principal
-coefficients, and full table enumeration on valuation chains.
+coefficients, full table enumeration on valuation chains, and the eight
+closure-operation axioms checked by separate hand-written loops.
 """
 
 from itertools import combinations, product as iproduct
@@ -183,4 +184,106 @@ def fractional_chain_tables_oracle(D):
             f = {i: max(x for x in F if x <= i) for i in idx}
             if all(f[i] + f[j] >= f[i + j] for i in idx for j in idx if -D <= i + j <= D):
                 out.append(f)
+    return out
+
+
+def check_axioms_oracle(op, domain, axioms):
+    """The eight axiom checks as independent hand-written loops.
+
+    Returns ``{axiom: (checked, skipped, [(inputs, values, detail), ...])}``.
+    An instance that needs a value of ``op`` outside its table is skipped;
+    a domain without a unit counts one skipped instance of axiom 7.
+    """
+    skip = object()
+
+    def apply(x):
+        return op(x) if op.defined_at(x) else skip
+
+    elts = list(domain.elements)
+    out = {}
+    for ax in sorted(set(axioms)):
+        checked = skipped = 0
+        wit = []
+        if ax == 1:
+            for I in elts:
+                fI = apply(I)
+                if fI is skip:
+                    skipped += 1
+                    continue
+                checked += 1
+                if not domain.contains(fI, I):
+                    wit.append(((I,), (fI,), "f(I) does not contain I"))
+        elif ax == 2:
+            for I in elts:
+                for J in elts:
+                    if I is J or not domain.contains(J, I):
+                        continue
+                    fI, fJ = apply(I), apply(J)
+                    if fI is skip or fJ is skip:
+                        skipped += 1
+                        continue
+                    checked += 1
+                    if not domain.contains(fJ, fI):
+                        wit.append(((I, J), (fI, fJ), "I <= J but f(I) !<= f(J)"))
+        elif ax == 3:
+            for I in elts:
+                fI = apply(I)
+                ffI = skip if fI is skip else apply(fI)
+                if ffI is skip:
+                    skipped += 1
+                    continue
+                checked += 1
+                if ffI != fI:
+                    wit.append(((I,), (fI, ffI), "f(f(I)) != f(I)"))
+        elif ax in (4, 6):
+            op2 = domain.product if ax == 4 else domain.sum
+            detail = "f(I)f(J) !<= f(IJ)" if ax == 4 else "f(I)+f(J) !<= f(I+J)"
+            for I in elts:
+                for J in elts:
+                    fI, fJ, fK = apply(I), apply(J), apply(op2(I, J))
+                    if skip in (fI, fJ, fK):
+                        skipped += 1
+                        continue
+                    checked += 1
+                    lhs = op2(fI, fJ)
+                    if not domain.contains(fK, lhs):
+                        wit.append(((I, J), (lhs, fK), detail))
+        elif ax == 5:
+            for b in domain.principals():
+                for I in elts:
+                    fI, fK = apply(I), apply(domain.product(b, I))
+                    if skip in (fI, fK):
+                        skipped += 1
+                        continue
+                    checked += 1
+                    rhs = domain.product(b, fI)
+                    if fK != rhs:
+                        wit.append(((b, I), (fK, rhs), "f(bI) != b.f(I)"))
+        elif ax == 7:
+            R = domain.unit_element()
+            fR = skip if R is None else apply(R)
+            if fR is skip:
+                skipped += 1
+            else:
+                checked += 1
+                if fR != R:
+                    wit.append(((R,), (fR,), "f(R) != R"))
+        elif ax == 8:
+            for I in elts:
+                for J in elts:
+                    fI, fJ = apply(I), apply(J)
+                    if skip in (fI, fJ):
+                        skipped += 1
+                        continue
+                    M = domain.intersect(fI, fJ)
+                    fM = apply(M)
+                    if fM is skip:
+                        skipped += 1
+                        continue
+                    checked += 1
+                    if fM != M:
+                        wit.append(((I, J), (M, fM), "f(I)^f(J) is not closed"))
+        else:
+            raise ValueError(f"unknown axiom {ax}")
+        out[ax] = (checked, skipped, wit)
     return out

@@ -1,8 +1,11 @@
+import argparse
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
-from semiprime_lab.cli import main
+from semiprime_lab.cli import _axiom_set, main
 
 
 def run(capsys, *argv):
@@ -77,6 +80,32 @@ def test_verify_fc_345(capsys):
                        "--max-order", "5", "--axioms", "1-5", "--expect-pass")
     assert payload["passed"] is True
     assert payload["axioms"]["4"]["skipped"] == 0
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("verify --op integral_closure --gens 2,5 --p 2 --max-order 8",
+     "24f76623473612069d90920c1fa1316158604297b54e574eabfa9ba2a636c139"),
+    ("verify --op dvr_g_m --m 1 --gens 1 --p 2 --max-order 5",
+     "1b932381c0f446ba598f0bd598328ac08e1421283538719ca7b2f20b3ec541da"),
+    ("verify --op fc_345 --gens 3,4,5 --p 2 --max-order 6 --no-include-zero",
+     "4c72d4194c6aeaf67d5ec9f8346974db18c940ae628703e25f30975ac75f95d5"),
+], ids=["integral_closure", "dvr_g_m", "fc_345"])
+def test_verify_stdout_pinned(capsys, argv, digest):
+    # every instance count, witness, cited value and detail string is pinned
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_axiom_range_is_bounded_before_it_is_expanded():
+    tracemalloc.start()
+    try:
+        with pytest.raises(argparse.ArgumentTypeError):
+            _axiom_set("1-1000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_verify_expect_pass_failure(capsys):
