@@ -49,6 +49,10 @@ class ClosureOperation:
     def defined_at(self, x) -> bool:
         return self.kind == "rule" or x in self.table
 
+    def at_product(self, domain, a, b):
+        """The value at the product a*b."""
+        return self(domain.product(a, b))
+
 
 class IdealSetDomain:
     """A finite set of canonical ideals of one ring, with cached arithmetic."""
@@ -63,14 +67,12 @@ class IdealSetDomain:
                 raise ValueError("all ideals must share one ring")
         self.elements = elements
         self._set = frozenset(elements)
+        self._top = max((I.order for I in elements if I.is_proper()), default=0)
         self._prod = {}
         self._sum = {}
         self._meet = {}
         self._cont = {}
         self._principals = None
-
-    def in_domain(self, x) -> bool:
-        return x in self._set
 
     def product(self, a, b):
         key = (a, b) if canonical_key(a) <= canonical_key(b) else (b, a)
@@ -79,6 +81,14 @@ class IdealSetDomain:
             r = ideal_product(*key)
             self._prod[key] = r
         return r
+
+    def product_in(self, a, b):
+        """a*b if it lies in the set, else None.  Orders add, so a product of
+        proper ideals whose orders sum past the top order is never formed."""
+        if a.is_proper() and b.is_proper() and a.order + b.order > self._top:
+            return None
+        r = self.product(a, b)
+        return r if r in self._set else None
 
     def sum(self, a, b):
         key = (a, b) if canonical_key(a) <= canonical_key(b) else (b, a)
@@ -97,6 +107,8 @@ class IdealSetDomain:
         return r
 
     def contains(self, a, b) -> bool:
+        if a.is_proper() and not b.is_zero() and a.order > b.order:
+            return False  # b (proper or the unit) has an element of order below a's
         key = (a, b)
         r = self._cont.get(key)
         if r is None:
@@ -152,11 +164,12 @@ class ChainDomain:
         self.elements = list(range(-D, D + 1))
         self._label = label_fn or (lambda i: "R" if i == 0 else f"P^{i}")
 
-    def in_domain(self, x) -> bool:
-        return isinstance(x, int) and -self.D <= x <= self.D
-
     def product(self, a, b):
         return a + b
+
+    def product_in(self, a, b):
+        r = a + b
+        return r if -self.D <= r <= self.D else None
 
     def sum(self, a, b):
         return min(a, b)
@@ -260,6 +273,35 @@ class _Undefined(Exception):
     """An instance needs an operation value outside the operation's table."""
 
 
+class _Values:
+    """The values of ``op`` for one ``check_axioms`` call, each computed once.
+
+    A value outside a table raises ``_Undefined``.  When every key of a
+    table lies in the domain, a value at a product outside the domain is
+    undefined, so ``at_product`` never forms such a product."""
+
+    def __init__(self, op, domain):
+        self.op = op
+        self.memo = {}
+        self.exact = op.kind == "table" and op.table.keys() <= set(domain.elements)
+
+    def __call__(self, x):
+        v = self.memo.get(x)
+        if v is None:
+            if not self.op.defined_at(x):
+                raise _Undefined
+            v = self.memo[x] = self.op(x)
+        return v
+
+    def at_product(self, domain, a, b):
+        if not self.exact:
+            return self(domain.product(a, b))
+        P = domain.product_in(a, b)
+        if P is None:
+            raise _Undefined
+        return self(P)
+
+
 class AxiomSpec(NamedTuple):
     """One axiom: ``instances(domain)`` yields input tuples, and
     ``check(f, domain, *inputs)`` returns ``(holds, cited_values)``."""
@@ -295,13 +337,13 @@ def _idempotent(f, domain, I):
 
 
 def _product(f, domain, I, J):
-    fI, fJ, fK = f(I), f(J), f(domain.product(I, J))
+    fI, fJ, fK = f(I), f(J), f.at_product(domain, I, J)
     lhs = domain.product(fI, fJ)
     return domain.contains(fK, lhs), (lhs, fK)
 
 
 def _scaling(f, domain, b, I):
-    fI, fK = f(I), f(domain.product(b, I))
+    fI, fK = f(I), f.at_product(domain, b, I)
     rhs = domain.product(b, fI)
     return fK == rhs, (fK, rhs)
 
@@ -349,16 +391,7 @@ def check_axioms(op: ClosureOperation, domain, axioms) -> AxiomReport:
     for ax in wanted:
         if ax not in AXIOMS:
             raise ValueError(f"unknown axiom {ax}")
-    memo = {}
-
-    def f(x):
-        v = memo.get(x)
-        if v is None:
-            if not op.defined_at(x):
-                raise _Undefined
-            v = memo[x] = op(x)
-        return v
-
+    f = _Values(op, domain)
     results = {}
     for ax in wanted:
         spec = AXIOMS[ax]

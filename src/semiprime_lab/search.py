@@ -74,14 +74,17 @@ class _Searcher:
         self.eliminations = stats.setdefault("eliminations", {})
         # supersets/subsets and in-window product structure
         self.supersets = {I: [J for J in elts if J != I and domain.contains(J, I)] for I in elts}
-        self.subsets = {I: [J for J in elts if J != I and domain.contains(I, J)] for I in elts}
+        self.subsets = {I: [] for I in elts}
+        for J in elts:
+            for I in self.supersets[J]:
+                self.subsets[I].append(J)
         self.pairs_by_product: dict = {}
         self.factor_pairs: dict = {I: [] for I in elts}
         skipped = 0
         for i, A in enumerate(elts):
             for B in elts[i:]:
-                P = domain.product(A, B)
-                if domain.in_domain(P):
+                P = domain.product_in(A, B)
+                if P is not None:
                     self.pairs_by_product.setdefault(P, []).append((A, B))
                     self.factor_pairs[A].append((B, P))
                     if B != A:
@@ -156,8 +159,8 @@ class _Searcher:
             self.trail.append(a)
             if self.mode == PRIME:
                 for b in self.principal_list:
-                    q = domain.product(b, a)
-                    if domain.in_domain(q):
+                    q = domain.product_in(b, a)
+                    if q is not None:
                         queue.append((q, domain.product(b, w)))
         return True
 
@@ -213,6 +216,8 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
     The larger window is built only after the first search has finished, so
     a run stopped by the budget there never pays for enumerating it.
     """
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
     stats: dict = {}
     small_domain = window(size)
     small_tables = _search_window(small_domain, mode, budget, stats)

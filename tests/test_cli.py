@@ -194,3 +194,30 @@ def test_user_input_error_is_one_line(capsys, monkeypatch, argv, budget):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_negative_margin_is_rejected(capsys):
+    code, out, err = run(capsys, "search", "--gens", "2,5", "--p", "2", "--max-order", "6",
+                         "--margin", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "semiprime-lab: error: margin must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv, out_digest, err_digest", [
+    ("search --gens 3,4,5 --p 2 --max-order 7 --margin 1 --explain",
+     "1f68b4cf818c3888a9504faeb24c1658f439893b62a737ee83c65b9f3feef803",
+     "7db3171f2571651153974da370fdb65f41bfc8b433e311511121a3f579666a1b"),
+    ("search --gens 1 --p 2 --mode semiprime --max-order 8 --explain",
+     "6d5159da8eb8a3060f8dac962b92b600ba10d03c8e6a80a7c2987cbeffe1fe6c",
+     "f1dbbcfcdcf014dd829727f44896aa8f8289d70915c33300a6d927ac84159cf3"),
+    ("search --gens 2,5 --p 3 --max-order 6 --margin 2 --explain",
+     "bd583491dceaae9ce98a0a34af2f56ad589c76b28abbc7c7fd43dddf77215667",
+     "cfc30893eba1e935207440c0a63a209d666883a0fd370867ed57891df4764670"),
+], ids=["fc_345", "dvr_semiprime", "2_5_f3"])
+def test_search_explain_pinned(capsys, argv, out_digest, err_digest):
+    # prune counts and the order of the first eliminations are pinned
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == err_digest
