@@ -14,7 +14,7 @@ ever loses precision, whatever the order involved.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 from .errors import (
@@ -75,14 +75,29 @@ class Ring:
         return f"F_{self.field.p}[[t^{self.semigroup}]]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdealCanon:
-    """Canonical form of an ideal: kind, order and RREF coefficient window."""
+    """Canonical form of an ideal: kind, order and RREF coefficient window.
+
+    Instances are memo keys throughout the search, so the hash and the sort
+    key (``canonical_key``) are computed once, on first use, and kept in
+    slots that take no part in equality or ``repr``.
+    """
 
     ring: Ring
     kind: str
     order: int | None
     window: tuple[tuple[int, ...], ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            # the value the generated dataclass hash would give
+            h = hash((self.ring, self.kind, self.order, self.window))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def is_zero(self) -> bool:
         return self.kind == ZERO
@@ -116,12 +131,19 @@ class IdealCanon:
 
 
 def canonical_key(I: IdealCanon):
-    """Sort key: UNIT, then proper ideals by (order, window bytes), then ZERO."""
-    if I.kind == UNIT:
-        return (0, 0, ())
-    if I.kind == PROPER:
-        return (1, I.order, I.window)
-    return (2, 0, ())
+    """Sort key: UNIT, then proper ideals by (order, window bytes), then ZERO.
+
+    The tuple is built once per instance and shared by every caller."""
+    k = I._key
+    if k is None:
+        if I.kind == UNIT:
+            k = (0, 0, ())
+        elif I.kind == PROPER:
+            k = (1, I.order, I.window)
+        else:
+            k = (2, 0, ())
+        object.__setattr__(I, "_key", k)
+    return k
 
 
 def zero_ideal(ring: Ring) -> IdealCanon:

@@ -48,7 +48,6 @@ class SearchProblem:
 class SearchResult:
     operations: list
     stats: dict
-    domain: list
 
     def is_identity_only(self) -> bool:
         return len(self.operations) == 1 and self.operations[0].name == "identity"
@@ -214,7 +213,9 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
     ``window(size + margin)``, each re-verified by ``check_axioms``.
 
     The larger window is built only after the first search has finished, so
-    a run stopped by the budget there never pays for enumerating it.
+    a run stopped by the budget there never pays for enumerating it.  With
+    margin 0 the larger window is the same window, so every table survives
+    and no second search is run.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -222,16 +223,18 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
     small_domain = window(size)
     small_tables = _search_window(small_domain, mode, budget, stats)
     stats["window_candidates"] = len(small_tables)
+    survivors = small_tables
     big_stats: dict = {}
-    big_tables = _search_window(window(size + margin), mode, budget, big_stats)
+    if margin:
+        big_tables = _search_window(window(size + margin), mode, budget, big_stats)
+        small_set = set(small_domain.elements)
+        restrictions = set()
+        for T in big_tables:
+            R = {k: v for k, v in T.items() if k in small_set}
+            if all(v in small_set for v in R.values()):
+                restrictions.add(_table_key(small_domain, R))
+        survivors = [T for T in small_tables if _table_key(small_domain, T) in restrictions]
     stats["extension_nodes"] = big_stats.get("nodes", 0)
-    small_set = set(small_domain.elements)
-    restrictions = set()
-    for T in big_tables:
-        R = {k: v for k, v in T.items() if k in small_set}
-        if all(v in small_set for v in R.values()):
-            restrictions.add(_table_key(small_domain, R))
-    survivors = [T for T in small_tables if _table_key(small_domain, T) in restrictions]
     stats["extension_discarded"] = len(small_tables) - len(survivors)
     ops = []
     axioms = (1, 2, 3, 4, 5) if mode == PRIME else (1, 2, 3, 4)
@@ -242,7 +245,7 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
         if not check_axioms(op, small_domain, axioms).passed():
             raise AssertionError(f"search produced an inconsistent table {name}")
         ops.append(op)
-    return SearchResult(ops, stats, small_domain.elements)
+    return SearchResult(ops, stats)
 
 
 def _search_with_extension(ring: Ring, max_order: int, mode: str, margin: int,

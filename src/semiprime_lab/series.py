@@ -2,8 +2,8 @@
 
 Every series carries its own validity bound: coefficients are stored for
 exponents ``0..bound-1`` and nothing beyond the bound is ever consulted.
-Operations compute the exact bound to which their result is trustworthy,
-so truncation loss is always explicit.
+Series are the generators and elements that ideals are built from; the
+ideal arithmetic itself works on canonical windows (see ``ideals``).
 """
 
 from __future__ import annotations
@@ -11,11 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import FieldMismatch, NotAUnit, NotInRing
+from .errors import NotInRing
 from .semigroup import NumericalSemigroup
-
-# Cap applied when one operand is exactly zero (order treated as +infinity).
-MAX_BOUND = 1 << 14
 
 _PRIMES_TO_97 = frozenset(
     {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -80,77 +77,6 @@ class TruncatedSeries:
         if e >= self.bound:
             raise ValueError(f"coefficient at t^{e} is beyond bound {self.bound}")
         return self.coeffs[e]
-
-    def _check_field(self, other: "TruncatedSeries"):
-        if self.field != other.field:
-            raise FieldMismatch(f"F_{self.field.p} vs F_{other.field.p}")
-
-    def _joint_semigroup(self, other):
-        if self.semigroup is not None and self.semigroup == other.semigroup:
-            return self.semigroup
-        return None
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_field(other)
-        b = min(self.bound, other.bound)
-        out = [(self.coeffs[i] + other.coeffs[i]) % self.field.p for i in range(b)]
-        sg = self._joint_semigroup(other)
-        try:
-            return TruncatedSeries(self.field, tuple(out), sg)
-        except NotInRing:
-            # cancellation cannot create support outside S; be safe anyway
-            return TruncatedSeries(self.field, tuple(out), None)
-
-    def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self.add(other.scale(-1))
-
-    def scale(self, c: int) -> "TruncatedSeries":
-        p = self.field.p
-        return TruncatedSeries(self.field, tuple((c * a) % p for a in self.coeffs), self.semigroup)
-
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Exact convolution up to min(bound_f + ord g, bound_g + ord f)."""
-        self._check_field(other)
-        p = self.field.p
-        oa = self.order()
-        ob = other.order()
-        ea = oa if oa is not None else MAX_BOUND
-        eb = ob if ob is not None else MAX_BOUND
-        bound = min(self.bound + eb, other.bound + ea, MAX_BOUND)
-        out = [0] * bound
-        for i in range(min(self.bound, bound)):
-            ai = self.coeffs[i]
-            if not ai:
-                continue
-            jmax = min(other.bound, bound - i)
-            for j in range(jmax):
-                bj = other.coeffs[j]
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        return TruncatedSeries(self.field, tuple(out), self._joint_semigroup(other))
-
-    __mul__ = mul
-    __add__ = add
-
-    def invert_unit(self) -> "TruncatedSeries":
-        """Inverse of a unit of K[[t]], to the same bound.
-
-        The result is not ring-constrained: inverses live in K[[t]] and
-        callers must re-check support when a ring unit is required.
-        """
-        if self.order() != 0:
-            raise NotAUnit("series must have nonzero constant term")
-        p = self.field.p
-        a = self.coeffs
-        inv0 = pow(a[0], -1, p)
-        b = [inv0] + [0] * (self.bound - 1)
-        for n in range(1, self.bound):
-            s = 0
-            for k in range(1, n + 1):
-                if a[k]:
-                    s = (s + a[k] * b[n - k]) % p
-            b[n] = (-inv0 * s) % p
-        return TruncatedSeries(self.field, tuple(b), None)
 
     def padded(self, bound: int) -> "TruncatedSeries":
         """Zero-extend to ``bound``; caller asserts the tail is exactly zero."""

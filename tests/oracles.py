@@ -3,11 +3,19 @@
 Everything here is deliberately brute force and shares no code with the
 package internals it checks: subspace enumeration by span closure,
 semigroup membership by breadth-first reachability, closed-form principal
-coefficients, full table enumeration on valuation chains, and the eight
-closure-operation axioms checked by separate hand-written loops.
+coefficients, full table enumeration on valuation chains, the eight
+closure-operation axioms checked by separate hand-written loops, reference
+series arithmetic (product and unit inversion in K[[t]]) and the
+three-branch ideal sort key.
 """
 
 from itertools import combinations, product as iproduct
+
+from semiprime_lab.errors import FieldMismatch, NotAUnit
+from semiprime_lab.series import TruncatedSeries
+
+# Bound of a series product when one factor is exactly zero (order +infinity).
+MAX_BOUND = 1 << 14
 
 
 def vec_add(u, v, p):
@@ -287,3 +295,47 @@ def check_axioms_oracle(op, domain, axioms):
             raise ValueError(f"unknown axiom {ax}")
         out[ax] = (checked, skipped, wit)
     return out
+
+
+def series_mul(f, g):
+    """Exact convolution of two truncated series, trustworthy up to
+    min(bound_f + ord g, bound_g + ord f).  The product stays
+    ring-constrained when both factors carry the same semigroup."""
+    if f.field != g.field:
+        raise FieldMismatch(f"F_{f.field.p} vs F_{g.field.p}")
+    p = f.field.p
+    of, og = f.order(), g.order()
+    ef = of if of is not None else MAX_BOUND
+    eg = og if og is not None else MAX_BOUND
+    bound = min(f.bound + eg, g.bound + ef, MAX_BOUND)
+    out = [0] * bound
+    for i in range(min(f.bound, bound)):
+        if f.coeffs[i]:
+            for j in range(min(g.bound, bound - i)):
+                out[i + j] = (out[i + j] + f.coeffs[i] * g.coeffs[j]) % p
+    sg = f.semigroup if f.semigroup is not None and f.semigroup == g.semigroup else None
+    return TruncatedSeries(f.field, tuple(out), sg)
+
+
+def series_invert_unit(u):
+    """Inverse of a unit of K[[t]] to the same bound, by the recurrence
+    b_n = -a_0^(-1) * sum_{k=1..n} a_k b_(n-k); not ring-constrained."""
+    if u.order() != 0:
+        raise NotAUnit("series must have nonzero constant term")
+    p = u.field.p
+    a = u.coeffs
+    inv0 = pow(a[0], -1, p)
+    b = [inv0] + [0] * (u.bound - 1)
+    for n in range(1, u.bound):
+        b[n] = (-inv0 * sum(a[k] * b[n - k] for k in range(1, n + 1))) % p
+    return TruncatedSeries(u.field, tuple(b))
+
+
+def canonical_key_oracle(I):
+    """Sort key of an ideal: the unit, then proper ideals by (order, window),
+    then the zero ideal."""
+    if I.kind == "unit":
+        return (0, 0, ())
+    if I.kind == "proper":
+        return (1, I.order, I.window)
+    return (2, 0, ())

@@ -214,7 +214,13 @@ def test_negative_margin_is_rejected(capsys):
     ("search --gens 2,5 --p 3 --max-order 6 --margin 2 --explain",
      "bd583491dceaae9ce98a0a34af2f56ad589c76b28abbc7c7fd43dddf77215667",
      "cfc30893eba1e935207440c0a63a209d666883a0fd370867ed57891df4764670"),
-], ids=["fc_345", "dvr_semiprime", "2_5_f3"])
+    ("search --gens 2,5 --p 3 --max-order 6 --margin 0 --explain",
+     "7a2d1070740c6d187a1ecc6a192f755f7818ce378fcb00f22dbdebe5b0529efd",
+     "4aaeb6ffa7f0d43ebc074821a1f57ebfe29b8b778328a2f896f67d8067464875"),
+    ("search --gens 2,7 --p 2 --max-order 12 --margin 0 --explain",
+     "daede36b6687bbbb0ac9b3c30faa144eef529f44598300ccc4b23003e79ccda5",
+     "b321d0e443a1266d04f1ff6197465bb2bfa44265349ec656da9681e2322c7f7b"),
+], ids=["fc_345", "dvr_semiprime", "2_5_f3", "2_5_f3_margin0", "2_7_f2_margin0"])
 def test_search_explain_pinned(capsys, argv, out_digest, err_digest):
     # prune counts and the order of the first eliminations are pinned
     code, out, err = run(capsys, *argv.split())

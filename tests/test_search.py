@@ -1,5 +1,6 @@
 import pytest
 
+from semiprime_lab import search
 from semiprime_lab.closures import builtin, check_axioms, IdealSetDomain
 from semiprime_lab.errors import BudgetExceeded
 from semiprime_lab.ideals import Ring, enumerate_ideals, zero_ideal
@@ -17,6 +18,7 @@ from oracles import chain_closure_tables_oracle
 
 F2 = PrimeField(2)
 R25 = Ring(from_generators([2, 5]), F2)
+R27 = Ring(from_generators([2, 7]), F2)
 R345 = Ring(from_generators([3, 4, 5]), F2)
 RDVR = Ring(from_generators([1]), F2)
 
@@ -138,3 +140,20 @@ def test_explain_pruning_trivial_space():
     res = _search_with_extension(RDVR, 4, "prime", 2, True, 5_000_000)
     text = explain_pruning(res)
     assert "nodes explored" in text
+
+
+def test_margin_zero_searches_its_window_once(monkeypatch):
+    calls = []
+    real = search._search_window
+
+    def counting(domain, mode, budget, stats):
+        calls.append(len(domain.elements))
+        return real(domain, mode, budget, stats)
+
+    monkeypatch.setattr(search, "_search_window", counting)
+    res = search_prime(SearchProblem(R27, 12, "prime", 0))
+    assert len(calls) == 1
+    assert res.is_identity_only()
+    assert res.stats["nodes"] == 188
+    assert res.stats["extension_nodes"] == 0
+    assert res.stats["extension_discarded"] == 0
