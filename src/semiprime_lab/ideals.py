@@ -340,6 +340,12 @@ def intersect(I: IdealCanon, J: IdealCanon) -> IdealCanon:
 def contains(I: IdealCanon, J: IdealCanon) -> bool:
     """True iff I contains J (both canonical, same ring)."""
     _same_ring(I, J)
+    return _contains(I, J)
+
+
+def _contains(I: IdealCanon, J: IdealCanon, piv=None) -> bool:
+    """``contains`` for ideals of one ring; ``piv`` is ``_pivots(I)`` when the
+    caller has it already."""
     if J.is_zero() or I.is_unit():
         return True
     if I.is_zero():
@@ -353,12 +359,17 @@ def contains(I: IdealCanon, J: IdealCanon) -> bool:
         return True
     p = I.ring.field.p
     d = J.order - I.order
-    piv = tuple(_pivot(r) for r in I.window)
+    if piv is None:
+        piv = _pivots(I)
     for r in J.window:
         v = _shift(r, d, c) if d else r
         if not in_rowspace(v, I.window, piv, p):
             return False
     return True
+
+
+def _pivots(I: IdealCanon):
+    return tuple(_pivot(r) for r in I.window)
 
 
 def _pivot(row):
@@ -388,8 +399,7 @@ def element_in_ideal(f: TruncatedSeries, I: IdealCanon) -> bool:
     if f.bound < n + c:
         raise InsufficientPrecision(f"need coefficients up to t^{n + c - 1}")
     v = tuple(f.coeffs[n : n + c])
-    piv = tuple(_pivot(r) for r in I.window)
-    return in_rowspace(v, I.window, piv, I.ring.field.p)
+    return in_rowspace(v, I.window, _pivots(I), I.ring.field.p)
 
 
 _MAXIMAL_CACHE: dict[Ring, IdealCanon] = {}
@@ -435,9 +445,11 @@ def integral_closure_ideal(I: IdealCanon) -> IdealCanon:
 def enumerate_ideals(ring: Ring, max_order: int, budget: int = 2_000_000) -> list[IdealCanon]:
     """All proper ideals of order <= max_order, plus UNIT, in canonical order.
 
-    Iterates RREF matrices directly (pivot pattern x free entries) and keeps
-    the ones whose row space respects the support mask and is closed under
-    the generator shift maps.
+    For each order the RREF window is grown row by row from the last pivot
+    up (see ``_shift_closed_windows``), so no candidate matrix is formed
+    whole.  The ``InfeasibleEnumeration`` guard counts every RREF matrix on
+    the allowed columns (pivot pattern x free entries); that overstates the
+    work the pruned growth does, but fixes which windows are refused.
     """
     c = ring.conductor
     S = ring.semigroup
@@ -449,46 +461,66 @@ def enumerate_ideals(ring: Ring, max_order: int, budget: int = 2_000_000) -> lis
         return out
     # cost estimate before enumerating anything
     total = 0
-    patterns: dict[int, list[tuple[int, ...]]] = {}
     for n in orders:
         allowed = [j for j in range(c) if S.contains(n + j)]
         rest = allowed[1:]
-        pats = []
         for mask in range(1 << len(rest)):
             pivots = (0,) + tuple(j for b, j in enumerate(rest) if mask >> b & 1)
             total += p ** len(_free_positions(pivots, allowed))
-            pats.append(pivots)
-        patterns[n] = pats
     if total > budget:
         raise InfeasibleEnumeration(f"{total} candidate matrices exceed budget {budget}")
     shifts = [g for g in S.generators if g < c]
     for n in orders:
         allowed = [j for j in range(c) if S.contains(n + j)]
-        found = []
-        for pivots in patterns[n]:
-            free = _free_positions(pivots, allowed)
-            for values in iter_product(range(p), repeat=len(free)):
-                rows = [[0] * c for _ in pivots]
-                for ri, pc in enumerate(pivots):
-                    rows[ri][pc] = 1
-                for (ri, col), v in zip(free, values):
-                    rows[ri][col] = v
-                rows = tuple(tuple(r) for r in rows)
-                piv = pivots
-                ok = True
-                for r in rows:
-                    for g in shifts:
-                        s = _shift(r, g, c)
-                        if any(s) and not in_rowspace(s, rows, piv, p):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    found.append(_proper(ring, n, rows))
+        found = [_proper(ring, n, w) for w in _shift_closed_windows(allowed, shifts, c, p)]
         found.sort(key=canonical_key)
         out.extend(found)
     return out
+
+
+def _shift_closed_windows(allowed, shifts, c, p):
+    """Every RREF window with pivot 0, support in ``allowed``, whose span is
+    closed under the ``shifts``.
+
+    The shift of the row with pivot q vanishes on every pivot column <= q,
+    so it lies in the span iff it is the combination of the rows with
+    larger pivots that its own pivot-column entries name.  Rows are
+    therefore placed from the last pivot up, each checked once against rows
+    no later choice can change, and a failing row prunes its whole subtree.
+    A shift by g is zero when q + g >= c; otherwise its leading 1 lands on
+    column q + g, which must already be a pivot.
+    """
+    windows = []
+    rows: list[tuple[int, ...]] = []  # placed rows, last pivot first
+    pivots: list[int] = []
+
+    def grow(top):
+        for q in allowed:
+            if q >= top:
+                break
+            live = [g for g in shifts if q + g < c]
+            if any(q + g not in pivots for g in live):
+                continue
+            free = [j for j in allowed if j > q and j not in pivots]
+            for values in iter_product(range(p), repeat=len(free)):
+                row = [0] * c
+                row[q] = 1
+                for j, v in zip(free, values):
+                    row[j] = v
+                row = tuple(row)
+                if not all(in_rowspace(_shift(row, g, c), rows, pivots, p) for g in live):
+                    continue
+                rows.append(row)
+                pivots.append(q)
+                if q == 0:
+                    windows.append(tuple(reversed(rows)))
+                else:
+                    grow(q)
+                rows.pop()
+                pivots.pop()
+
+    grow(c)
+    return windows
 
 
 def _free_positions(pivots, allowed):
@@ -574,7 +606,7 @@ def _classify_two_gen_odd(I: IdealCanon) -> ShapeTag:
     S = ring.semigroup
     n = I.order
     row0 = I.window[0]
-    pivots = [_pivot(r) for r in I.window]
+    pivots = _pivots(I)
     gap_exps = gap_coefficient_exponents(ring, n)
     non_s = [j for j in pivots if not S.contains(j)]
     if not non_s:
@@ -600,7 +632,7 @@ def _classify_embdim3(I: IdealCanon) -> ShapeTag:
         return ShapeTag("PRINCIPAL", n, (a, b), (terms,))
     if dim == 3:
         return ShapeTag("THREE_GEN", n, (), (((n, 1),), ((n + 1, 1),), ((n + 2, 1),)))
-    pivots = tuple(_pivot(r) for r in w)
+    pivots = _pivots(I)
     if pivots == (0, 2):
         a = w[0][1]
         terms = tuple(t for t in ((n, 1), (n + 1, a)) if t[1])
@@ -665,7 +697,17 @@ def _node_id(I: IdealCanon) -> str:
 
 def hasse_diagram(ideals) -> str:
     """DOT digraph of the covering relation of containment (edges point from
-    the containing ideal to the covered one); deterministic node order."""
+    the containing ideal to the covered one); deterministic node order.
+
+    ``below[i]`` is the bitset of the ideals that ideals[i] strictly
+    contains, and ``above[j]`` the bitset of those strictly containing
+    ideals[j]; A covers B iff B is below A and ``below[A] & above[B]`` is
+    empty.  Rows of ``below`` are filled from the end of the sorted list,
+    where the small ideals sit, and a containment found brings in the whole
+    row of the contained ideal, whose pairs then need no test.  No pair is
+    skipped by sort position: a proper ideal can contain one of its own
+    order that sorts before it.
+    """
     ideals = sorted(set(ideals), key=canonical_key)
     if not ideals:
         return "digraph ideal_lattice {\n}\n"
@@ -674,21 +716,35 @@ def hasse_diagram(ideals) -> str:
         if I.ring != ring:
             raise RingMismatch("hasse_diagram needs ideals of a single ring")
     n = len(ideals)
-    gt = [[False] * n for _ in range(n)]
-    for i, A in enumerate(ideals):
+    below = [0] * n
+    for i in reversed(range(n)):
+        A = ideals[i]
+        piv = _pivots(A)
+        row = 0
         for j, B in enumerate(ideals):
-            if i != j and contains(A, B):
-                gt[i][j] = True
+            if i != j and not row >> j & 1 and _contains(A, B, piv):
+                row |= 1 << j | below[j]
+        below[i] = row
+    above = [0] * n
+    for i in range(n):
+        for j in _bits(below[i]):
+            above[j] |= 1 << i
+    ids = [_node_id(I) for I in ideals]
     lines = ["digraph ideal_lattice {", "  rankdir=LR;", '  node [shape=box];']
-    for I in ideals:
+    for I, node in zip(ideals, ids):
         label = ideal_label(I).replace('"', '\\"')
-        lines.append(f'  {_node_id(I)} [label="{label}"];')
-    for i, A in enumerate(ideals):
-        for j, B in enumerate(ideals):
-            if not gt[i][j]:
-                continue
-            if any(gt[i][k] and gt[k][j] for k in range(n)):
-                continue  # not a covering pair
-            lines.append(f"  {_node_id(A)} -> {_node_id(B)};")
+        lines.append(f'  {node} [label="{label}"];')
+    for i in range(n):
+        for j in _bits(below[i]):
+            if not below[i] & above[j]:
+                lines.append(f"  {ids[i]} -> {ids[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _bits(mask):
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -30,9 +30,6 @@ class PrimeField:
         if self.p not in _PRIMES_TO_97:
             raise ValueError(f"p must be a prime in [2, 97], got {self.p}")
 
-    def inv(self, a: int) -> int:
-        return pow(a % self.p, -1, self.p)
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -72,11 +69,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return self.order() is None
-
-    def coeff(self, e: int) -> int:
-        if e >= self.bound:
-            raise ValueError(f"coefficient at t^{e} is beyond bound {self.bound}")
-        return self.coeffs[e]
 
     def padded(self, bound: int) -> "TruncatedSeries":
         """Zero-extend to ``bound``; caller asserts the tail is exactly zero."""

@@ -5,13 +5,17 @@ package internals it checks: subspace enumeration by span closure,
 semigroup membership by breadth-first reachability, closed-form principal
 coefficients, full table enumeration on valuation chains, the eight
 closure-operation axioms checked by separate hand-written loops, reference
-series arithmetic (product and unit inversion in K[[t]]) and the
-three-branch ideal sort key.
+series arithmetic (product and unit inversion in K[[t]]), the
+three-branch ideal sort key, the enumerator that forms every RREF matrix
+whole, and the cubic covering scan for Hasse diagrams.  The last one uses
+the package's ``contains`` and node labels, so it checks the covering
+logic and the DOT text, not containment itself.
 """
 
 from itertools import combinations, product as iproduct
 
-from semiprime_lab.errors import FieldMismatch, NotAUnit
+from semiprime_lab.errors import FieldMismatch, NotAUnit, RingMismatch
+from semiprime_lab.ideals import IdealCanon, _node_id, contains, ideal_label
 from semiprime_lab.series import TruncatedSeries
 
 # Bound of a series product when one factor is exactly zero (order +infinity).
@@ -339,3 +343,77 @@ def canonical_key_oracle(I):
     if I.kind == "proper":
         return (1, I.order, I.window)
     return (2, 0, ())
+
+
+def _reduce(vec, rows, pivots, p):
+    v = list(vec)
+    for r, pc in zip(rows, pivots):
+        f = v[pc]
+        if f:
+            v = [(a - f * b) % p for a, b in zip(v, r)]
+    return v
+
+
+def enumerate_ideals_oracle(ring, max_order):
+    """All proper ideals of order <= max_order, plus the unit ideal, sorted by
+    ``canonical_key_oracle``.  Every RREF matrix on the support mask (pivot
+    pattern x free entries) is formed whole and kept iff its row space is
+    closed under the generator shifts."""
+    S = ring.semigroup
+    c = S.conductor
+    p = ring.field.p
+    out = [IdealCanon(ring, "unit", 0, ())]
+    orders = [n for n in range(1, max_order + 1) if S.contains(n)]
+    if c == 0:
+        return out + [IdealCanon(ring, "proper", n, ()) for n in orders]
+    shifts = [g for g in S.generators if g < c]
+    for n in orders:
+        allowed = [j for j in range(c) if S.contains(n + j)]
+        rest = allowed[1:]
+        found = []
+        for mask in range(1 << len(rest)):
+            pivots = (0,) + tuple(j for b, j in enumerate(rest) if mask >> b & 1)
+            free = [
+                (ri, col)
+                for ri, pc in enumerate(pivots)
+                for col in allowed
+                if col > pc and col not in pivots
+            ]
+            for values in iproduct(range(p), repeat=len(free)):
+                rows = [[0] * c for _ in pivots]
+                for ri, pc in enumerate(pivots):
+                    rows[ri][pc] = 1
+                for (ri, col), v in zip(free, values):
+                    rows[ri][col] = v
+                rows = tuple(tuple(r) for r in rows)
+                if all(
+                    not any(_reduce(shift_vec(r, g, c), rows, pivots, p))
+                    for r in rows
+                    for g in shifts
+                ):
+                    found.append(IdealCanon(ring, "proper", n, rows))
+        out.extend(sorted(found, key=canonical_key_oracle))
+    return out
+
+
+def hasse_diagram_oracle(ideals):
+    """DOT text of the covering relation of containment by the cubic scan:
+    A covers B iff A contains B and no third ideal lies strictly between."""
+    ideals = sorted(set(ideals), key=canonical_key_oracle)
+    if not ideals:
+        return "digraph ideal_lattice {\n}\n"
+    ring = ideals[0].ring
+    if any(I.ring != ring for I in ideals):
+        raise RingMismatch("hasse_diagram needs ideals of a single ring")
+    n = len(ideals)
+    gt = [[i != j and contains(A, B) for j, B in enumerate(ideals)] for i, A in enumerate(ideals)]
+    lines = ["digraph ideal_lattice {", "  rankdir=LR;", "  node [shape=box];"]
+    for I in ideals:
+        label = ideal_label(I).replace('"', '\\"')
+        lines.append(f'  {_node_id(I)} [label="{label}"];')
+    for i, A in enumerate(ideals):
+        for j, B in enumerate(ideals):
+            if gt[i][j] and not any(gt[i][k] and gt[k][j] for k in range(n)):
+                lines.append(f"  {_node_id(A)} -> {_node_id(B)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

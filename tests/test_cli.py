@@ -36,6 +36,15 @@ def test_semigroup_not_coprime_exit_code(capsys):
     assert "NotCoprime" in err
 
 
+def test_oversized_enumeration_keeps_its_guard_line(capsys):
+    # The estimate counts every RREF matrix on the support mask (pivot
+    # pattern x free entries), so this window is refused before any work.
+    code, out, err = run(capsys, "search", "--gens", "3,7", "--p", "2", "--max-order", "14")
+    assert code == 1
+    assert out == ""
+    assert err == "InfeasibleEnumeration: 1455580435096 candidate matrices exceed budget 2000000\n"
+
+
 def test_canon_text_output(capsys):
     code, out, _ = run(capsys, "canon", "--gens", "2,5", "--p", "2",
                        "--elem", "t^4+t^5+t^6+t^7")

@@ -13,6 +13,7 @@ from semiprime_lab.errors import (
     UnsupportedSemigroup,
     ZeroInput,
 )
+from semiprime_lab import ideals as ideals_module
 from semiprime_lab.ideals import (
     Ring,
     canonical_principal_form,
@@ -34,7 +35,12 @@ from semiprime_lab.ideals import (
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField, TruncatedSeries
 
-from oracles import ideal_windows_oracle, principal_coeffs_oracle
+from oracles import (
+    enumerate_ideals_oracle,
+    ideal_windows_oracle,
+    principal_coeffs_oracle,
+    span,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -370,15 +376,19 @@ def test_enumerate_below_multiplicity():
 )
 def test_enumerate_matches_subspace_oracle(ring, max_order):
     S = ring.semigroup
-    per_order = Counter(I.order for I in enumerate_ideals(ring, max_order) if I.is_proper())
+    c = S.conductor
+    p = ring.field.p
+    spans = {}
+    for I in enumerate_ideals(ring, max_order):
+        if I.is_proper():
+            spans.setdefault(I.order, []).append(span(I.window, c, p))
     for n in range(1, max_order + 1):
         if not S.contains(n):
-            assert per_order[n] == 0
+            assert n not in spans
             continue
-        count, _ = ideal_windows_oracle(
-            S.contains, S.generators, n, S.conductor, ring.field.p
-        )
-        assert per_order[n] == count, f"order {n}"
+        count, windows = ideal_windows_oracle(S.contains, S.generators, n, c, p)
+        assert len(spans[n]) == count, f"order {n}"
+        assert set(spans[n]) == set(windows), f"order {n}"
 
 
 def test_enumerate_matches_subspace_oracle_2_7_spot():
@@ -387,6 +397,46 @@ def test_enumerate_matches_subspace_oracle_2_7_spot():
     for n in (2, 4, 6):
         count, _ = ideal_windows_oracle(S.contains, S.generators, n, S.conductor, 2)
         assert per_order[n] == count
+
+
+@pytest.mark.parametrize(
+    "gens,p,max_order",
+    [
+        ((1,), 3, 8),
+        ((2, 5), 2, 10),
+        ((2, 5), 5, 8),
+        ((2, 5), 7, 8),
+        ((2, 7), 2, 10),
+        ((2, 7), 3, 6),
+        ((2, 9), 2, 7),
+        ((3, 4, 5), 3, 8),
+        ((3, 5, 7), 2, 10),
+        ((4, 5, 6, 7), 2, 10),
+        ((3, 4), 2, 8),
+        ((4, 5, 7), 2, 6),
+    ],
+    ids=lambda v: "_".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_enumerate_matches_brute_force_enumerator(gens, p, max_order):
+    ring = Ring(from_generators(list(gens)), PrimeField(p))
+    assert enumerate_ideals(ring, max_order) == enumerate_ideals_oracle(ring, max_order)
+
+
+def test_enumerate_forms_few_shift_images(monkeypatch):
+    # Forming every RREF matrix whole and testing it afterwards takes
+    # 2,118,398 shift images here; growing the rows prunes early.
+    formed = 0
+    real_shift = ideals_module._shift
+
+    def counting_shift(*args):
+        nonlocal formed
+        formed += 1
+        return real_shift(*args)
+
+    monkeypatch.setattr(ideals_module, "_shift", counting_shift)
+    ring = Ring(from_generators([2, 9]), F2)
+    assert len(enumerate_ideals(ring, 12)) == 181
+    assert formed < 50_000
 
 
 def test_enumerate_deterministic():

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -5,13 +6,18 @@ import pytest
 from semiprime_lab.errors import RingMismatch
 from semiprime_lab.ideals import (
     Ring,
+    canonical_key,
+    contains,
     enumerate_ideals,
     hasse_diagram,
     ideal_from_generators,
     ideal_record,
+    zero_ideal,
 )
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
+
+from oracles import hasse_diagram_oracle
 
 F2 = PrimeField(2)
 R25 = Ring(from_generators([2, 5]), F2)
@@ -96,3 +102,37 @@ def test_ideal_record_shape():
     assert rec["order"] == 4
     assert rec["shape"] == "TWO_GEN_A(4; 1)"
     assert rec["window"] == [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "gens,p,max_order",
+    [
+        ((2, 5), 2, 8),
+        ((2, 5), 3, 6),
+        ((3, 4, 5), 2, 7),
+        ((3, 4, 5), 3, 5),
+        ((2, 7), 2, 10),
+        ((1,), 2, 6),
+        ((3, 5, 7), 2, 8),
+        ((4, 5, 6, 7), 2, 7),
+        ((3, 4), 2, 8),
+    ],
+    ids=lambda v: "_".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_diagram_matches_cubic_scan(gens, p, max_order):
+    ring = Ring(from_generators(list(gens)), PrimeField(p))
+    whole = enumerate_ideals(ring, max_order) + [zero_ideal(ring)]
+    rng = random.Random(max_order)
+    thirds = [I for I in whole if rng.random() < 1 / 3]
+    for ideals in (whole, whole[::2], thirds):
+        assert hasse_diagram(ideals) == hasse_diagram_oracle(ideals)
+
+
+def test_same_order_container_sorting_after_the_contained_ideal():
+    small = ideal_from_generators(R25, [R25.parse("t^6")])
+    big = ideal_from_generators(R25, [R25.parse("t^6"), R25.parse("t^7")])
+    assert contains(big, small) and big != small
+    assert canonical_key(small) < canonical_key(big)
+    dot = hasse_diagram([big, small])
+    assert edges_by_label(dot) == {("(t^6, t^7)", "(t^6)")}
+    assert dot == hasse_diagram_oracle([big, small])
