@@ -62,7 +62,7 @@ def _ring(args) -> Ring:
     return Ring(from_generators(args.gens), PrimeField(args.p))
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -87,8 +87,7 @@ def cmd_semigroup(args) -> int:
             "gaps": list(S.gaps),
             "frobenius": S.frobenius,
             "conductor": S.conductor,
-        },
-        args,
+        }
     )
     return 0
 
@@ -105,8 +104,7 @@ def cmd_canon(args) -> int:
                 "shape": tag.code(),
                 "order": tag.order,
                 "params": list(tag.params),
-            },
-            args,
+            }
         )
     else:
         print(f"{tag.ideal_str()}  {tag.code()}")
@@ -124,8 +122,7 @@ def cmd_ideals(args) -> int:
                     "max_order": args.max_order,
                     "count": len(ideals),
                     "ideals": [ideal_record(I) for I in ideals],
-                },
-                args,
+                }
             )
         else:
             for I in ideals:
@@ -133,8 +130,7 @@ def cmd_ideals(args) -> int:
         return 0
     # classify
     if not args.ideal:
-        print("ideals classify requires --ideal", file=sys.stderr)
-        return 2
+        raise ValueError("ideals classify requires --ideal")
     gens = [ring.parse(part) for part in args.ideal.split(",")]
     I = ideal_from_generators(ring, gens)
     if not I.is_proper():
@@ -149,7 +145,7 @@ def cmd_ideals(args) -> int:
             "min_generators": min_generators(I),
         }
     if args.json:
-        _emit(payload, args)
+        _emit(payload)
     else:
         print("  ".join(str(v) for v in payload.values()))
     return 0
@@ -175,7 +171,7 @@ def cmd_verify(args) -> int:
         ideals.append(zero_ideal(ring))
     domain = IdealSetDomain(ideals)
     report = check_axioms(op, domain, args.axioms)
-    _emit(report.to_json(domain), args)
+    _emit(report.to_json(domain))
     if args.expect_pass and not report.passed():
         return 1
     return 0
@@ -215,7 +211,7 @@ def cmd_search(args) -> int:
             "skipped_product_instances": result.stats.get("skipped_product_instances", 0),
         },
     }
-    _emit(payload, args)
+    _emit(payload)
     if args.explain:
         sys.stderr.write(explain_pruning(result))
     if args.expect_identity_only and not result.is_identity_only():
@@ -240,15 +236,13 @@ def _parse_candidate(text: str, D: int) -> dict:
 
 
 def cmd_demo_fractional(args) -> int:
-    p = args.p or 2
     if args.dvr:
-        ring = Ring(from_generators([1]), PrimeField(p))
+        ring = Ring(from_generators([1]), PrimeField(args.p))
         chain = FractionalChain(ring, args.D)
     else:
         if not args.gens or not args.s:
-            print("demo-fractional needs --dvr, or --gens plus --s", file=sys.stderr)
-            return 2
-        ring = Ring(from_generators(args.gens), PrimeField(p))
+            raise ValueError("demo-fractional needs --dvr, or --gens plus --s")
+        ring = _ring(args)
         chain = FractionalChain(ring, args.D, ring.parse(args.s))
     try:
         candidate = _parse_candidate(args.candidate, args.D)
@@ -261,8 +255,7 @@ def cmd_demo_fractional(args) -> int:
             "chain": {"kind": chain.kind, "D": chain.D},
             "candidate": args.candidate,
             **outcome.to_json(),
-        },
-        args,
+        }
     )
     return 0
 

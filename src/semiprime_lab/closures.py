@@ -74,13 +74,17 @@ class IdealSetDomain:
         self._cont = {}
         self._principals = None
 
-    def product(self, a, b):
+    def _memo(self, memo, op, a, b):
+        """op(a, b) for a symmetric op, computed once per unordered pair."""
         key = (a, b) if canonical_key(a) <= canonical_key(b) else (b, a)
-        r = self._prod.get(key)
+        r = memo.get(key)
         if r is None:
-            r = ideal_product(*key)
-            self._prod[key] = r
+            r = op(*key)
+            memo[key] = r
         return r
+
+    def product(self, a, b):
+        return self._memo(self._prod, ideal_product, a, b)
 
     def product_in(self, a, b):
         """a*b if it lies in the set, else None.  Orders add, so a product of
@@ -91,20 +95,10 @@ class IdealSetDomain:
         return r if r in self._set else None
 
     def sum(self, a, b):
-        key = (a, b) if canonical_key(a) <= canonical_key(b) else (b, a)
-        r = self._sum.get(key)
-        if r is None:
-            r = ideal_sum(*key)
-            self._sum[key] = r
-        return r
+        return self._memo(self._sum, ideal_sum, a, b)
 
     def intersect(self, a, b):
-        key = (a, b) if canonical_key(a) <= canonical_key(b) else (b, a)
-        r = self._meet.get(key)
-        if r is None:
-            r = ideal_intersect(*key)
-            self._meet[key] = r
-        return r
+        return self._memo(self._meet, ideal_intersect, a, b)
 
     def contains(self, a, b) -> bool:
         if a.is_proper() and not b.is_zero() and a.order > b.order:

@@ -108,26 +108,8 @@ class IdealCanon:
     def is_proper(self) -> bool:
         return self.kind == PROPER
 
-    def contains(self, other: "IdealCanon") -> bool:
-        return contains(self, other)
-
-    def product(self, other: "IdealCanon") -> "IdealCanon":
-        return product(self, other)
-
-    def sum(self, other: "IdealCanon") -> "IdealCanon":
-        return ideal_sum(self, other)
-
-    def intersect(self, other: "IdealCanon") -> "IdealCanon":
-        return intersect(self, other)
-
-    __mul__ = product
-    __add__ = sum
-
-    def describe(self) -> str:
-        return ideal_label(self)
-
     def __str__(self) -> str:
-        return self.describe()
+        return ideal_label(self)
 
 
 def canonical_key(I: IdealCanon):

@@ -93,9 +93,8 @@ class _Searcher:
         stats["skipped_product_instances"] = stats.get("skipped_product_instances", 0) + skipped
         self.principal_list = domain.principals() if mode == PRIME else []
         for x in seeds:
-            if not self._propagate(x, x, "seed"):
+            if not self._propagate(x, x):
                 raise AssertionError("inconsistent seeds")
-        self.base_trail = len(self.trail)
 
     def _tick(self):
         self.stats["nodes"] = self.stats.get("nodes", 0) + 1
@@ -108,7 +107,7 @@ class _Searcher:
         if key not in self.eliminations:
             self.eliminations[key] = (str(var), str(val), cause)
 
-    def _propagate(self, x, v, cause: str) -> bool:
+    def _propagate(self, x, v) -> bool:
         """Assign f(x) = v plus everything it forces; False on conflict."""
         domain = self.domain
         queue = [(x, v)]
@@ -190,7 +189,7 @@ class _Searcher:
         X = self.variables[i]
         for J in self._candidates(X):
             mark = len(self.trail)
-            if self._propagate(X, J, "decision"):
+            if self._propagate(X, J):
                 self._solve(i + 1)
             self._undo(mark)
 
@@ -248,23 +247,19 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
     return SearchResult(ops, stats)
 
 
-def _search_with_extension(ring: Ring, max_order: int, mode: str, margin: int,
-                           include_zero: bool, budget: int) -> SearchResult:
+def search_prime(problem: SearchProblem) -> SearchResult:
+    """All prime operations on the ideal window, stable under the margin; with
+    ``problem.mode`` SEMIPRIME, all semiprime operations instead."""
+    ring = problem.ring
+
     def window(n):
         ideals = enumerate_ideals(ring, n)
-        if include_zero:
+        if problem.include_zero:
             ideals.append(zero_ideal(ring))
         return IdealSetDomain(ideals)
 
-    return _extension_search(window, max_order, margin, mode, budget)
-
-
-def search_prime(problem: SearchProblem) -> SearchResult:
-    """All prime operations on the ideal window, stable under the margin."""
-    return _search_with_extension(
-        problem.ring, problem.max_order, problem.mode, problem.margin,
-        problem.include_zero, problem.budget,
-    )
+    return _extension_search(window, problem.max_order, problem.margin, problem.mode,
+                             problem.budget)
 
 
 def search_semiprime_chain(D: int, margin: int, p: int = 2,
@@ -272,7 +267,7 @@ def search_semiprime_chain(D: int, margin: int, p: int = 2,
     """All semiprime operations on the DVR ideal chain {R, P, ..., P^D, (0)},
     stable under extension of the chain depth by ``margin``."""
     ring = Ring(from_generators([1]), PrimeField(p))
-    return _search_with_extension(ring, D, SEMIPRIME, margin, True, budget)
+    return search_prime(SearchProblem(ring, D, SEMIPRIME, margin, budget))
 
 
 def search_fractional_chain(D: int, margin: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -306,6 +301,6 @@ def explain_pruning(result: SearchResult) -> str:
         for key in sorted(elim):
             var, val, cause = elim[key]
             lines.append(f"  f({var}) = {val} rejected by {cause}")
-    if len(lines) == 4 and not prunes and not elim:
+    if not prunes and not elim:
         lines.append("no assignments were rejected")
     return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ the package's ``contains`` and node labels, so it checks the covering
 logic and the DOT text, not containment itself.
 """
 
+from functools import cache
 from itertools import combinations, product as iproduct
 
 from semiprime_lab.errors import FieldMismatch, NotAUnit, RingMismatch
@@ -53,8 +54,11 @@ def span(vectors, width, p):
     return frozenset(out)
 
 
+@cache
 def all_subspaces(width, p):
-    """Every linear subspace of F_p^width, each as a frozenset of vectors."""
+    """Every linear subspace of F_p^width, each as a frozenset of vectors.
+
+    Cached: the spot checks ask for the same (width, p) at every order."""
     zero = (0,) * width
     vectors = list(iproduct(range(p), repeat=width))
     done = {frozenset([zero])}
@@ -74,7 +78,7 @@ def all_subspaces(width, p):
                     done.add(bigger)
                     nxt.append(bigger)
         frontier = nxt
-    return done
+    return frozenset(done)
 
 
 def shift_vec(v, g, width):

@@ -194,6 +194,9 @@ def test_search_stats_pinned(capsys, argv, count, stats):
     ("demo-fractional --gens 2,5 --s 1+t^2 --D 3 --candidate identity", None),
     ("demo-fractional --dvr --D 0 --candidate identity", None),
     ("verify --op dvr_f_m --gens 1 --p 2 --max-order 3", None),
+    ("demo-fractional --dvr --p 0 --D 3 --candidate identity", None),
+    ("ideals classify --gens 2,5 --p 2", None),
+    ("demo-fractional --D 3 --candidate identity", None),
 ])
 def test_user_input_error_is_one_line(capsys, monkeypatch, argv, budget):
     if budget is not None:
@@ -202,6 +205,7 @@ def test_user_input_error_is_one_line(capsys, monkeypatch, argv, budget):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
+    assert err.startswith("semiprime-lab: error: ")
     assert "Traceback" not in err
 
 

@@ -225,7 +225,7 @@ def test_chain_domain_semantics():
 
 def test_element_chain_indices_match_ideal_products():
     # on the nonnegative part of the chain, s^i.R really is the i-th power
-    from semiprime_lab.ideals import product
+    from semiprime_lab.ideals import contains, product
 
     s = R25.parse("t^2")
     powers = {0: ideal_from_generators(R25, [R25.parse("1")])}
@@ -236,7 +236,7 @@ def test_element_chain_indices_match_ideal_products():
     for i in range(3):
         for j in range(3):
             assert product(powers[i], powers[j]) == powers[i + j]
-            assert powers[i].contains(powers[j]) == (i <= j)
+            assert contains(powers[i], powers[j]) == (i <= j)
 
 
 def test_fractional_chain_validation():

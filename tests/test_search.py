@@ -1,20 +1,25 @@
+import random
+from itertools import product as iproduct
+
 import pytest
 
 from semiprime_lab import search
-from semiprime_lab.closures import builtin, check_axioms, IdealSetDomain
+from semiprime_lab.closures import ClosureOperation, builtin, check_axioms, IdealSetDomain
 from semiprime_lab.errors import BudgetExceeded
-from semiprime_lab.ideals import Ring, enumerate_ideals, zero_ideal
+from semiprime_lab.ideals import Ring, enumerate_ideals, unit_ideal, zero_ideal
 from semiprime_lab.search import (
+    PRIME,
+    SEMIPRIME,
     SearchProblem,
+    _Searcher,
     explain_pruning,
     search_prime,
     search_semiprime_chain,
-    _search_with_extension,
 )
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
 
-from oracles import chain_closure_tables_oracle
+from oracles import chain_closure_tables_oracle, check_axioms_oracle
 
 F2 = PrimeField(2)
 R25 = Ring(from_generators([2, 5]), F2)
@@ -78,7 +83,7 @@ def test_semiprime_chain_d0_like_window():
 
 
 def test_prime_mode_on_chain_is_identity_only():
-    res = _search_with_extension(RDVR, 8, "prime", 2, True, 5_000_000)
+    res = search_prime(SearchProblem(RDVR, 8, "prime", 2))
     assert [op.name for op in res.operations] == ["identity"]
 
 
@@ -137,7 +142,7 @@ def test_explain_pruning():
 
 def test_explain_pruning_trivial_space():
     # all proper ideals of the DVR chain are principal: nothing to assign
-    res = _search_with_extension(RDVR, 4, "prime", 2, True, 5_000_000)
+    res = search_prime(SearchProblem(RDVR, 4, "prime", 2))
     text = explain_pruning(res)
     assert "nodes explored" in text
 
@@ -157,3 +162,41 @@ def test_margin_zero_searches_its_window_once(monkeypatch):
     assert res.stats["nodes"] == 188
     assert res.stats["extension_nodes"] == 0
     assert res.stats["extension_discarded"] == 0
+
+
+def brute_force_tables(domain, mode):
+    """Every extensive table on ``domain`` with no witness against axioms 1-4
+    (and 5 in prime mode) under the hand-written oracle."""
+    elts = domain.elements
+    supersets = [[J for J in elts if domain.contains(J, I)] for I in elts]
+    axioms = (1, 2, 3, 4, 5) if mode == PRIME else (1, 2, 3, 4)
+    out = set()
+    for values in iproduct(*supersets):
+        T = dict(zip(elts, values))
+        report = check_axioms_oracle(ClosureOperation("t", "table", table=T), domain, axioms)
+        if not any(wit for _, _, wit in report.values()):
+            out.add(frozenset(T.items()))
+    return out
+
+
+@pytest.mark.parametrize("ring, max_order, seed", [
+    (R25, 7, 1), (R345, 6, 2), (R27, 8, 3),
+], ids=["2_5_f2", "3_4_5_f2", "2_7_f2"])
+def test_searcher_matches_brute_force_on_small_windows(ring, max_order, seed):
+    # Windows: the unit, 2-5 random proper ideals, and the zero ideal in half
+    # of them.  Prime mode runs only where the window holds a proper principal
+    # ideal: without one it seeds the zero ideal, which no axiom forces.
+    rng = random.Random(seed)
+    proper = [I for I in enumerate_ideals(ring, max_order) if I.is_proper()]
+    prime_windows = 0
+    for _ in range(8):
+        ideals = [unit_ideal(ring), *rng.sample(proper, rng.randint(2, 5))]
+        if rng.random() < 0.5:
+            ideals.append(zero_ideal(ring))
+        dom = IdealSetDomain(ideals)
+        modes = (PRIME, SEMIPRIME) if dom.principals() else (SEMIPRIME,)
+        prime_windows += PRIME in modes
+        for mode in modes:
+            found = {frozenset(T.items()) for T in _Searcher(dom, mode, 10**6, {}).run()}
+            assert found == brute_force_tables(dom, mode), (mode, [str(I) for I in dom.elements])
+    assert prime_windows >= 4
