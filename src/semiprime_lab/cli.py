@@ -8,7 +8,7 @@ import os
 import sys
 
 from .closures import (
-    FractionalChain,
+    ChainDomain,
     IdealSetDomain,
     builtin,
     check_axioms,
@@ -223,32 +223,30 @@ def _parse_candidate(text: str, D: int) -> dict:
     if text == "identity":
         return {i: i for i in range(-D, D + 1)}
     kind, _, rest = text.partition(":")
-    params = dict(kv.split("=", 1) for kv in rest.split(",") if kv)
-    if kind == "bounded":
-        m = int(params.get("m", 0))
-        return {i: min(i, m) for i in range(-D, D + 1)}
-    if kind == "enlarge":
-        j = int(params.get("i", -1))
-        table = {i: i for i in range(-D, D + 1)}
-        table[0] = j
-        return table
-    raise argparse.ArgumentTypeError(f"unknown candidate {text!r}")
+    try:
+        params = dict(kv.split("=", 1) for kv in rest.split(",") if kv)
+        if kind == "bounded":
+            m = int(params.get("m", 0))
+            return {i: min(i, m) for i in range(-D, D + 1)}
+        if kind == "enlarge":
+            j = int(params.get("i", -1))
+            table = {i: i for i in range(-D, D + 1)}
+            table[0] = j
+            return table
+    except ValueError:
+        pass  # a parameter that is not name=integer: the usage error below
+    raise ValueError(f"--candidate must be identity, bounded:m=K or enlarge:i=J, got {text!r}")
 
 
 def cmd_demo_fractional(args) -> int:
     if args.dvr:
-        ring = Ring(from_generators([1]), PrimeField(args.p))
-        chain = FractionalChain(ring, args.D)
+        PrimeField(args.p)  # the P^i chain needs no field, but a bad --p is still refused
+        chain = ChainDomain(args.D)
     else:
         if not args.gens or not args.s:
             raise ValueError("demo-fractional needs --dvr, or --gens plus --s")
-        ring = _ring(args)
-        chain = FractionalChain(ring, args.D, ring.parse(args.s))
-    try:
-        candidate = _parse_candidate(args.candidate, args.D)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"bad --candidate: {exc}", file=sys.stderr)
-        return 2
+        chain = ChainDomain(args.D, _ring(args).parse(args.s))
+    candidate = _parse_candidate(args.candidate, args.D)
     outcome = fractional_violation(chain, candidate)
     _emit(
         {

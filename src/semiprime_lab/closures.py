@@ -19,6 +19,7 @@ from .ideals import (
     Ring,
     canonical_key,
     contains as ideal_contains,
+    ideal_from_generators,
     ideal_label,
     ideal_sum,
     integral_closure_ideal,
@@ -145,18 +146,21 @@ class IdealSetDomain:
 class ChainDomain:
     """A totally ordered chain of fractional ideals indexed by integers.
 
-    Index i stands for the i-th power of the chain base (the maximal ideal
-    of a discrete valuation ring, or a fixed nonunit s), so products add
-    indices and containment is index order.  Every member is a principal
-    fractional ideal.
+    Index i stands for the i-th power of the chain base: the maximal ideal P
+    of a discrete valuation ring (kind "dvr", no ``element``) or a fixed
+    nonunit s (kind "element", members s^i.R).  Products add indices and
+    containment is index order.  Every member is a principal fractional
+    ideal.
     """
 
-    def __init__(self, D: int, label_fn=None):
+    def __init__(self, D: int, element: TruncatedSeries | None = None):
         if D < 1:
             raise ValueError("chain half-width must be >= 1")
+        if element is not None and element.order() in (None, 0):
+            raise ValueError("the chain element must be a nonzero nonunit")
         self.D = D
+        self.kind = "dvr" if element is None else "element"
         self.elements = list(range(-D, D + 1))
-        self._label = label_fn or (lambda i: "R" if i == 0 else f"P^{i}")
 
     def product(self, a, b):
         return a + b
@@ -180,8 +184,10 @@ class ChainDomain:
     def unit_element(self):
         return 0
 
-    def describe(self, x) -> str:
-        return self._label(x)
+    def describe(self, i) -> str:
+        if i == 0:
+            return "R"
+        return f"P^{i}" if self.kind == "dvr" else f"s^{i}R"
 
     @staticmethod
     def key(i):
@@ -419,8 +425,6 @@ def sakuma_consistency(op: ClosureOperation, domain) -> AxiomReport:
 def _chain_ideal(ring: Ring, k: int) -> IdealCanon:
     if k == 0:
         return unit_ideal(ring)
-    from .ideals import ideal_from_generators
-
     return ideal_from_generators(ring, [ring.monomial(k)])
 
 
@@ -463,39 +467,6 @@ def builtin(name: str, ring: Ring, m: int | None = None) -> ClosureOperation:
     raise ValueError(f"unknown builtin operation {name!r}")
 
 
-@dataclass(frozen=True)
-class FractionalChain:
-    """Chain of fractional ideals: powers of the maximal ideal of the DVR
-    (indices in [-D, D]) or powers s^i.R of a fixed nonunit times the ring."""
-
-    ring: Ring
-    D: int
-    element: TruncatedSeries | None = None  # None: DVR maximal-ideal powers
-
-    def __post_init__(self):
-        if self.D < 1:
-            raise ValueError("chain half-width must be >= 1")
-        if self.element is None:
-            if self.ring.family() != "dvr":
-                raise WrongRing("the P^i chain needs the discrete valuation ring <1>")
-        else:
-            o = self.element.order()
-            if o is None or o == 0:
-                raise ValueError("the chain element must be a nonzero nonunit")
-
-    @property
-    def kind(self) -> str:
-        return "dvr" if self.element is None else "element"
-
-    def label(self, i: int) -> str:
-        if i == 0:
-            return "R"
-        return f"P^{i}" if self.kind == "dvr" else f"s^{i}R"
-
-    def domain(self) -> ChainDomain:
-        return ChainDomain(self.D, self.label)
-
-
 @dataclass
 class FractionalOutcome:
     kind: str  # "witness" | "certified_identity_only" | "no_violation_found"
@@ -506,21 +477,7 @@ class FractionalOutcome:
         return {"outcome": self.kind, "witness": self.witness, "verified": self.verified}
 
 
-def _as_chain_table(candidate, chain: FractionalChain) -> dict:
-    if isinstance(candidate, ClosureOperation):
-        if candidate.kind == "table":
-            table = dict(candidate.table)
-        else:
-            table = {i: candidate(i) for i in chain.domain().elements}
-    else:
-        table = dict(candidate)
-    for i in chain.domain().elements:
-        if i not in table:
-            raise DomainGap(f"candidate undefined at chain index {i}")
-    return table
-
-
-def fractional_violation(chain: FractionalChain, candidate) -> FractionalOutcome:
+def fractional_violation(chain: ChainDomain, candidate) -> FractionalOutcome:
     """Produce a verified product-axiom witness against a candidate operation
     on the chain, or certify that only the identity survives.
 
@@ -529,8 +486,11 @@ def fractional_violation(chain: FractionalChain, candidate) -> FractionalOutcome
     (i, j), j < 0, landing in the stabilized tail.
     """
     D = chain.D
-    f = _as_chain_table(candidate, chain)
-    lab = chain.label
+    f = dict(candidate)
+    for i in chain.elements:
+        if i not in f:
+            raise DomainGap(f"candidate undefined at chain index {i}")
+    lab = chain.describe
 
     def witness(i, j, detail):
         fi, fj, fij = f[i], f[j], f[i + j]
@@ -551,7 +511,7 @@ def fractional_violation(chain: FractionalChain, candidate) -> FractionalOutcome
             verified,
         )
 
-    for i in range(-D, D + 1):
+    for i in chain.elements:
         if f[i] > i:
             return FractionalOutcome(
                 "witness",
@@ -568,11 +528,11 @@ def fractional_violation(chain: FractionalChain, candidate) -> FractionalOutcome
         n0 -= 1
     if n0 < D:
         return witness(n0 + 1, -1, "bounded tail: product with a negative power escapes the constant value")
-    for i in range(-D, D + 1):
-        for j in range(-D, D + 1):
+    for i in chain.elements:
+        for j in chain.elements:
             if -D <= i + j <= D and f[i] + f[j] < f[i + j]:
                 return witness(i, j, "product axiom fails")
-    if all(f[i] == i for i in range(-D, D + 1)):
+    if all(f[i] == i for i in chain.elements):
         from .search import search_fractional_chain  # search imports this module
 
         if search_fractional_chain(D, margin=2).is_identity_only():

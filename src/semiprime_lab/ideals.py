@@ -31,7 +31,7 @@ from .errors import (
 )
 from .linalg import in_rowspace, rowspaces_intersect, rref
 from .semigroup import NumericalSemigroup
-from .series import PrimeField, TruncatedSeries, parse_series
+from .series import PrimeField, TruncatedSeries, monomial, parse_series
 
 ZERO = "zero"
 UNIT = "unit"
@@ -60,15 +60,12 @@ class Ring:
             return "embdim3"
         return None
 
-    def monomial(self, e: int, bound: int | None = None) -> TruncatedSeries:
-        from .series import monomial
+    def monomial(self, e: int) -> TruncatedSeries:
+        return monomial(self.field, e, e + 2 * self.conductor + 2, self.semigroup)
 
-        b = bound if bound is not None else e + 2 * self.conductor + 2
-        return monomial(self.field, e, b, self.semigroup)
-
-    def parse(self, text: str, bound: int | None = None) -> TruncatedSeries:
+    def parse(self, text: str) -> TruncatedSeries:
         raw = parse_series(self.field, text)
-        b = bound if bound is not None else raw.bound + 2 * self.conductor + 2
+        b = raw.bound + 2 * self.conductor + 2
         return TruncatedSeries(self.field, raw.padded(b).coeffs, self.semigroup)
 
     def __str__(self) -> str:
@@ -430,8 +427,8 @@ def enumerate_ideals(ring: Ring, max_order: int, budget: int = 2_000_000) -> lis
     For each order the RREF window is grown row by row from the last pivot
     up (see ``_shift_closed_windows``), so no candidate matrix is formed
     whole.  The ``InfeasibleEnumeration`` guard counts every RREF matrix on
-    the allowed columns (pivot pattern x free entries); that overstates the
-    work the pruned growth does, but fixes which windows are refused.
+    the allowed columns, in closed form (``_rref_count``); that overstates
+    the work the pruned growth does, but fixes which windows are refused.
     """
     c = ring.conductor
     S = ring.semigroup
@@ -441,20 +438,14 @@ def enumerate_ideals(ring: Ring, max_order: int, budget: int = 2_000_000) -> lis
     if c == 0:
         out.extend(_proper(ring, n, ()) for n in orders)
         return out
+    allowed = {n: [j for j in range(c) if S.contains(n + j)] for n in orders}
     # cost estimate before enumerating anything
-    total = 0
-    for n in orders:
-        allowed = [j for j in range(c) if S.contains(n + j)]
-        rest = allowed[1:]
-        for mask in range(1 << len(rest)):
-            pivots = (0,) + tuple(j for b, j in enumerate(rest) if mask >> b & 1)
-            total += p ** len(_free_positions(pivots, allowed))
+    total = sum(_rref_count(len(cols), p) for cols in allowed.values())
     if total > budget:
         raise InfeasibleEnumeration(f"{total} candidate matrices exceed budget {budget}")
     shifts = [g for g in S.generators if g < c]
     for n in orders:
-        allowed = [j for j in range(c) if S.contains(n + j)]
-        found = [_proper(ring, n, w) for w in _shift_closed_windows(allowed, shifts, c, p)]
+        found = [_proper(ring, n, w) for w in _shift_closed_windows(allowed[n], shifts, c, p)]
         found.sort(key=canonical_key)
         out.extend(found)
     return out
@@ -505,14 +496,15 @@ def _shift_closed_windows(allowed, shifts, c, p):
     return windows
 
 
-def _free_positions(pivots, allowed):
-    pivot_set = set(pivots)
-    free = []
-    for ri, pc in enumerate(pivots):
-        for col in allowed:
-            if col > pc and col not in pivot_set:
-                free.append((ri, col))
-    return free
+def _rref_count(m: int, p: int) -> int:
+    """The number of RREF matrices over F_p on m columns with a pivot in the
+    first, i.e. of subspaces of F_p^m not inside the last m - 1 coordinates:
+    G(m) - G(m - 1) for the Galois numbers G(0) = 1, G(1) = 2,
+    G(k + 1) = 2 G(k) + (p^k - 1) G(k - 1)."""
+    prev, cur = 1, 2
+    for k in range(1, m):
+        prev, cur = cur, 2 * cur + (p ** k - 1) * prev
+    return cur - prev
 
 
 @dataclass(frozen=True)
@@ -655,17 +647,18 @@ def ideal_label(I: IdealCanon) -> str:
 
 def ideal_record(I: IdealCanon) -> dict:
     """JSON-friendly record: order, shape and window rows."""
-    shape = None
+    shape = label = None
     if I.is_proper():
         try:
-            shape = classify_shape(I).code()
+            tag = classify_shape(I)
+            shape, label = tag.code(), tag.ideal_str()
         except (UnsupportedSemigroup, UnclassifiedIdeal):
-            shape = None
+            pass  # labelled by ideal_label below
     return {
         "kind": I.kind,
         "order": I.order,
         "shape": shape,
-        "label": ideal_label(I),
+        "label": label or ideal_label(I),
         "window": [list(r) for r in I.window],
     }
 

@@ -262,11 +262,11 @@ def search_prime(problem: SearchProblem) -> SearchResult:
                              problem.budget)
 
 
-def search_semiprime_chain(D: int, margin: int, p: int = 2,
-                           budget: int = DEFAULT_BUDGET) -> SearchResult:
+def search_semiprime_chain(D: int, margin: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """All semiprime operations on the DVR ideal chain {R, P, ..., P^D, (0)},
-    stable under extension of the chain depth by ``margin``."""
-    ring = Ring(from_generators([1]), PrimeField(p))
+    stable under extension of the chain depth by ``margin``.  The chain's
+    ideals are the powers of P whatever the field, so the ring is over F_2."""
+    ring = Ring(from_generators([1]), PrimeField(2))
     return search_prime(SearchProblem(ring, D, SEMIPRIME, margin, budget))
 
 

@@ -400,6 +400,24 @@ def enumerate_ideals_oracle(ring, max_order):
     return out
 
 
+def rref_count_oracle(allowed, p):
+    """The number of RREF matrices over F_p with support in the columns
+    ``allowed`` and a pivot in the first of them, by walking every pivot
+    pattern and counting its free entries."""
+    rest = allowed[1:]
+    total = 0
+    for mask in range(1 << len(rest)):
+        pivots = (allowed[0],) + tuple(j for b, j in enumerate(rest) if mask >> b & 1)
+        free = [
+            (ri, col)
+            for ri, pc in enumerate(pivots)
+            for col in allowed
+            if col > pc and col not in pivots
+        ]
+        total += p ** len(free)
+    return total
+
+
 def hasse_diagram_oracle(ideals):
     """DOT text of the covering relation of containment by the cubic scan:
     A covers B iff A contains B and no third ideal lies strictly between."""

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from semiprime_lab.cli import main
 from semiprime_lab.closures import (
-    FractionalChain,
+    ChainDomain,
     IdealSetDomain,
     builtin,
     check_axioms,
@@ -285,8 +285,7 @@ def bounded_candidate_family(D: int, count: int):
 
 def test_criterion_11_fractional_impossibility():
     with timer(11, 30.0):
-        dvr = Ring(from_generators([1]), PrimeField(2))
-        chain = FractionalChain(dvr, 6)
+        chain = ChainDomain(6)
         for table in bounded_candidate_family(6, 50):
             out = fractional_violation(chain, table)
             assert out.kind == "witness" and out.verified
@@ -297,7 +296,7 @@ def test_criterion_11_fractional_impossibility():
         assert out.kind == "witness" and out.verified
         assert (out.witness["i"], out.witness["j"]) == (0, 0)
         ring25 = Ring(from_generators([2, 5]), PrimeField(2))
-        element_chain = FractionalChain(ring25, 5, ring25.parse("t^2"))
+        element_chain = ChainDomain(5, ring25.parse("t^2"))
         for table in bounded_candidate_family(5, 50):
             out = fractional_violation(element_chain, table)
             assert out.kind == "witness" and out.verified

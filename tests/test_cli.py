@@ -155,6 +155,28 @@ def test_demo_fractional_element_chain(capsys):
     assert payload["chain"]["kind"] == "element"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("--dvr --D 5 --candidate identity",
+     "c5a3a6fcdd2a722cedf7536b5cf38db6821bd80fb9b9fca4bb5dc622444fb7a5"),
+    ("--dvr --D 6 --candidate identity",
+     "7859c47df21bef7ec65f3e8b07ed3838ea11e1097deab512abdb0b5a71236cdd"),
+    ("--dvr --D 6 --candidate bounded:m=2",
+     "e416ecd75f3c2f5c6eb0c3ee6a1fdc2cb393b3abe74ab12e28fc4783c2aec0fb"),
+    ("--dvr --D 5 --candidate enlarge:i=-2",
+     "adc48e299ab11ee3e7b5392e12ffef50829d6a1879f3f74b5b090dfa3f5ed4d0"),
+    ("--gens 2,5 --s t^2 --D 5 --candidate bounded:m=1",
+     "b6161b49aaac54f1060b32993fe938b7de7ec0406d50e71da92587584811fd5a"),
+    ("--gens 2,5 --s t^2 --D 3 --candidate identity",
+     "9f0c30c381f310e782097e0b7578a16cf045513332161b0244424cc45750be6c"),
+], ids=["dvr_5_identity", "dvr_6_identity", "dvr_6_bounded", "dvr_5_enlarge",
+        "element_5_bounded", "element_3_identity"])
+def test_demo_fractional_stdout_pinned(capsys, argv, digest):
+    # the chain kind, the witness indices and the R / P^i / s^iR labels are pinned
+    code, out, err = run(capsys, "demo-fractional", *argv.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -197,6 +219,9 @@ def test_search_stats_pinned(capsys, argv, count, stats):
     ("demo-fractional --dvr --p 0 --D 3 --candidate identity", None),
     ("ideals classify --gens 2,5 --p 2", None),
     ("demo-fractional --D 3 --candidate identity", None),
+    ("demo-fractional --dvr --D 3 --candidate foo:x=1", None),
+    ("demo-fractional --dvr --D 3 --candidate bounded:m=x", None),
+    ("demo-fractional --dvr --D 3 --candidate bounded:foo", None),
 ])
 def test_user_input_error_is_one_line(capsys, monkeypatch, argv, budget):
     if budget is not None:

@@ -3,7 +3,6 @@ import pytest
 from semiprime_lab.closures import (
     ChainDomain,
     ClosureOperation,
-    FractionalChain,
     IdealSetDomain,
     builtin,
     check_axioms,
@@ -240,15 +239,13 @@ def test_element_chain_indices_match_ideal_products():
 
 
 def test_fractional_chain_validation():
-    with pytest.raises(WrongRing):
-        FractionalChain(R25, 3)
-    FractionalChain(R25, 3, R25.parse("t^2"))
+    ChainDomain(3, R25.parse("t^2"))
     with pytest.raises(ValueError):
-        FractionalChain(R25, 3, R25.parse("1+t^2"))
+        ChainDomain(3, R25.parse("1+t^2"))
 
 
 def test_bounded_candidate_witness_matches_proof_pattern():
-    ch = FractionalChain(RDVR, 5)
+    ch = ChainDomain(5)
     out = fractional_violation(ch, {i: min(i, 2) for i in range(-5, 6)})
     assert out.kind == "witness" and out.verified
     w = out.witness
@@ -257,7 +254,7 @@ def test_bounded_candidate_witness_matches_proof_pattern():
 
 
 def test_enlarging_candidate_witnessed_at_R_R():
-    ch = FractionalChain(RDVR, 5)
+    ch = ChainDomain(5)
     table = {i: i for i in range(-5, 6)}
     table[0] = -1
     out = fractional_violation(ch, table)
@@ -266,13 +263,13 @@ def test_enlarging_candidate_witnessed_at_R_R():
 
 
 def test_identity_certified():
-    ch = FractionalChain(RDVR, 5)
+    ch = ChainDomain(5)
     out = fractional_violation(ch, {i: i for i in range(-5, 6)})
     assert out.kind == "certified_identity_only"
 
 
 def test_element_chain_witness():
-    ch = FractionalChain(R25, 5, R25.parse("t^2"))
+    ch = ChainDomain(5, R25.parse("t^2"))
     out = fractional_violation(ch, {i: min(i, 1) for i in range(-5, 6)})
     assert out.kind == "witness" and out.verified
     assert out.witness["j"] < 0
@@ -280,7 +277,7 @@ def test_element_chain_witness():
 
 
 def test_non_extensive_candidate_flagged():
-    ch = FractionalChain(RDVR, 4)
+    ch = ChainDomain(4)
     table = {i: i for i in range(-4, 5)}
     table[2] = 3  # f(P^2) = P^3 does not contain P^2
     out = fractional_violation(ch, table)

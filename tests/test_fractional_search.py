@@ -3,16 +3,11 @@
 
 import pytest
 
-from semiprime_lab.closures import ChainDomain, FractionalChain, fractional_violation
+from semiprime_lab.closures import ChainDomain, fractional_violation
 from semiprime_lab.errors import BudgetExceeded
-from semiprime_lab.ideals import Ring
 from semiprime_lab.search import DEFAULT_BUDGET, SEMIPRIME, _Searcher, search_fractional_chain
-from semiprime_lab.semigroup import from_generators
-from semiprime_lab.series import PrimeField
 
 from oracles import fractional_chain_tables_oracle
-
-RDVR = Ring(from_generators([1]), PrimeField(2))
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
@@ -25,7 +20,7 @@ def test_chain_window_tables_match_oracle(D):
 
 def test_identity_certified_at_depth_12():
     D = 12
-    out = fractional_violation(FractionalChain(RDVR, D), {i: i for i in range(-D, D + 1)})
+    out = fractional_violation(ChainDomain(D), {i: i for i in range(-D, D + 1)})
     assert out.kind == "certified_identity_only"
     assert out.verified
 

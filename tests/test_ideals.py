@@ -39,6 +39,7 @@ from oracles import (
     enumerate_ideals_oracle,
     ideal_windows_oracle,
     principal_coeffs_oracle,
+    rref_count_oracle,
     span,
 )
 
@@ -452,6 +453,20 @@ def test_enumerate_budget():
 
     with pytest.raises(InfeasibleEnumeration):
         enumerate_ideals(R27, 10, budget=10)
+    # the refusal boundary sits exactly at the count of RREF matrices
+    R29 = Ring(from_generators([2, 9]), F2)
+    with pytest.raises(InfeasibleEnumeration, match="^3521028 candidate matrices exceed budget 3521027$"):
+        enumerate_ideals(R29, 16, budget=3_521_027)
+    assert len(enumerate_ideals(R29, 16, budget=3_521_028)) == 305
+    with pytest.raises(InfeasibleEnumeration, match="^456449996 candidate"):
+        enumerate_ideals(Ring(from_generators([2, 5]), PrimeField(97)), 8)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 97])
+def test_rref_count_matches_pivot_walk(p):
+    cases = [list(range(m)) for m in range(1, 13)] + [[0, 2, 3, 5, 8, 9], [0, 1, 4, 6]]
+    for allowed in cases:
+        assert ideals_module._rref_count(len(allowed), p) == rref_count_oracle(allowed, p)
 
 
 # -------------------------------------------------------------------- classify

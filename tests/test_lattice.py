@@ -1,16 +1,20 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
+from semiprime_lab import ideals as ideals_module
 from semiprime_lab.errors import RingMismatch
 from semiprime_lab.ideals import (
     Ring,
     canonical_key,
     contains,
     enumerate_ideals,
+    classify_shape,
     hasse_diagram,
     ideal_from_generators,
+    ideal_label,
     ideal_record,
     zero_ideal,
 )
@@ -102,6 +106,25 @@ def test_ideal_record_shape():
     assert rec["order"] == 4
     assert rec["shape"] == "TWO_GEN_A(4; 1)"
     assert rec["window"] == [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def test_ideal_record_classifies_each_ideal_once(monkeypatch):
+    ring = Ring(from_generators([2, 7]), PrimeField(3))
+    window = enumerate_ideals(ring, 10) + [zero_ideal(ring)]
+    proper = [I for I in window if I.is_proper()]
+    labels = [ideal_label(I) for I in window]
+    shapes = [classify_shape(I).code() if I.is_proper() else None for I in window]
+    calls = Counter()
+
+    def counting(I):
+        calls[I] += 1
+        return classify_shape(I)
+
+    monkeypatch.setattr(ideals_module, "classify_shape", counting)
+    records = [ideal_record(I) for I in window]
+    assert calls == Counter(proper)
+    assert [r["label"] for r in records] == labels
+    assert [r["shape"] for r in records] == shapes
 
 
 @pytest.mark.parametrize(
