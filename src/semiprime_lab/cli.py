@@ -9,10 +9,10 @@ import sys
 
 from .closures import (
     ChainDomain,
-    IdealSetDomain,
     builtin,
     check_axioms,
     fractional_violation,
+    ideal_window,
 )
 from .errors import SemigroupRingError
 from .ideals import (
@@ -25,9 +25,8 @@ from .ideals import (
     ideal_label,
     ideal_record,
     min_generators,
-    zero_ideal,
 )
-from .search import DEFAULT_BUDGET, SearchProblem, search_prime, explain_pruning
+from .search import DEFAULT_BUDGET, search_prime, explain_pruning
 from .semigroup import from_generators
 from .series import PrimeField
 
@@ -156,8 +155,11 @@ def cmd_lattice(args) -> int:
     ideals = enumerate_ideals(ring, args.max_order)
     dot = hasse_diagram(ideals)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dot)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(dot)
     return 0
@@ -166,10 +168,7 @@ def cmd_lattice(args) -> int:
 def cmd_verify(args) -> int:
     ring = _ring(args)
     op = builtin(args.op, ring, m=args.m)
-    ideals = enumerate_ideals(ring, args.max_order)
-    if args.include_zero:
-        ideals.append(zero_ideal(ring))
-    domain = IdealSetDomain(ideals)
+    domain = ideal_window(ring, args.max_order, args.include_zero)
     report = check_axioms(op, domain, args.axioms)
     _emit(report.to_json(domain))
     if args.expect_pass and not report.passed():
@@ -179,10 +178,7 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     ring = _ring(args)
-    problem = SearchProblem(
-        ring, args.max_order, args.mode, args.margin, _budget(args), not args.no_zero
-    )
-    result = search_prime(problem)
+    result = search_prime(ring, args.max_order, args.mode, args.margin, _budget(args))
     ops_payload = []
     for op in result.operations:
         entries = [
@@ -312,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["prime", "semiprime"], default="prime")
     p.add_argument("--margin", type=int, default=2)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--no-zero", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--explain", action="store_true")
     p.add_argument("--expect-identity-only", action="store_true")

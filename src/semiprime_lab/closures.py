@@ -19,6 +19,7 @@ from .ideals import (
     Ring,
     canonical_key,
     contains as ideal_contains,
+    enumerate_ideals,
     ideal_from_generators,
     ideal_label,
     ideal_sum,
@@ -27,6 +28,7 @@ from .ideals import (
     min_generators,
     product as ideal_product,
     unit_ideal,
+    zero_ideal,
 )
 from .series import TruncatedSeries
 
@@ -141,6 +143,16 @@ class IdealSetDomain:
         """Search branching order: larger ideals first, so every proper
         superset of I is decided before I; the zero ideal last."""
         return (I.is_zero(), I.order, -len(I.window), I.window)
+
+
+def ideal_window(ring: Ring, max_order: int, include_zero: bool = True) -> IdealSetDomain:
+    """The ideals of order <= ``max_order`` and the unit, plus the zero ideal
+    unless ``include_zero`` is false: the window that searches and axiom
+    checks run on."""
+    ideals = enumerate_ideals(ring, max_order)
+    if include_zero:
+        ideals.append(zero_ideal(ring))
+    return IdealSetDomain(ideals)
 
 
 class ChainDomain:

@@ -19,29 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .closures import ChainDomain, ClosureOperation, IdealSetDomain, check_axioms
-from .ideals import Ring, enumerate_ideals, zero_ideal
-from .semigroup import from_generators
-from .series import PrimeField
+from .closures import ChainDomain, ClosureOperation, check_axioms, ideal_window
+from .ideals import Ring
 
 DEFAULT_BUDGET = 5_000_000
 
 PRIME = "prime"
 SEMIPRIME = "semiprime"
-
-
-@dataclass
-class SearchProblem:
-    ring: Ring
-    max_order: int
-    mode: str = PRIME
-    margin: int = 2
-    budget: int = DEFAULT_BUDGET
-    include_zero: bool = True
-
-    def __post_init__(self):
-        if self.mode not in (PRIME, SEMIPRIME):
-            raise ValueError(f"mode must be prime or semiprime, got {self.mode}")
 
 
 @dataclass
@@ -176,22 +160,37 @@ class _Searcher:
         return out
 
     def run(self):
-        self._solve(0)
+        """Depth-first over the variables in order.  The search keeps its own
+        stack of frames (variable, index after it, untried candidates, trail
+        mark), so the depth of a window is not bounded by Python's recursion
+        limit."""
+        variables, n = self.variables, len(self.variables)
+        stack: list = []
+        i = 0
+        while i is not None:
+            while i < n and variables[i] in self.assign:
+                i += 1
+            if i == n:
+                self._emit()
+            else:
+                X = variables[i]
+                stack.append((X, i + 1, iter(self._candidates(X)), len(self.trail)))
+            i = self._advance(stack)
         return self.found
 
-    def _solve(self, i: int):
-        n = len(self.variables)
-        while i < n and self.variables[i] in self.assign:
-            i += 1
-        if i == n:
-            self._emit()
-            return
-        X = self.variables[i]
-        for J in self._candidates(X):
-            mark = len(self.trail)
-            if self._propagate(X, J):
-                self._solve(i + 1)
+    def _advance(self, stack):
+        """Assign the next candidate of the innermost frame that propagates,
+        popping exhausted frames; the variable index to go on from, or None
+        when the search is over."""
+        while stack:
+            X, i, candidates, mark = stack[-1]
+            for J in candidates:
+                self._undo(mark)
+                if self._propagate(X, J):
+                    return i
             self._undo(mark)
+            stack.pop()
+        return None
 
     def _emit(self):
         self.found.append(dict(self.assign))
@@ -199,12 +198,6 @@ class _Searcher:
 
 def _table_key(domain, table):
     return tuple(sorted((domain.key(k), domain.key(v)) for k, v in table.items()))
-
-
-def _search_window(domain, mode: str, budget: int, stats: dict):
-    tables = _Searcher(domain, mode, budget, stats).run()
-    tables.sort(key=lambda T: _table_key(domain, T))
-    return tables
 
 
 def _extension_search(window, size: int, margin: int, mode: str, budget: int) -> SearchResult:
@@ -220,12 +213,13 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
         raise ValueError("margin must be >= 0")
     stats: dict = {}
     small_domain = window(size)
-    small_tables = _search_window(small_domain, mode, budget, stats)
+    small_tables = _Searcher(small_domain, mode, budget, stats).run()
+    small_tables.sort(key=lambda T: _table_key(small_domain, T))
     stats["window_candidates"] = len(small_tables)
     survivors = small_tables
     big_stats: dict = {}
     if margin:
-        big_tables = _search_window(window(size + margin), mode, budget, big_stats)
+        big_tables = _Searcher(window(size + margin), mode, budget, big_stats).run()
         small_set = set(small_domain.elements)
         restrictions = set()
         for T in big_tables:
@@ -247,27 +241,13 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
     return SearchResult(ops, stats)
 
 
-def search_prime(problem: SearchProblem) -> SearchResult:
-    """All prime operations on the ideal window, stable under the margin; with
-    ``problem.mode`` SEMIPRIME, all semiprime operations instead."""
-    ring = problem.ring
-
-    def window(n):
-        ideals = enumerate_ideals(ring, n)
-        if problem.include_zero:
-            ideals.append(zero_ideal(ring))
-        return IdealSetDomain(ideals)
-
-    return _extension_search(window, problem.max_order, problem.margin, problem.mode,
-                             problem.budget)
-
-
-def search_semiprime_chain(D: int, margin: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """All semiprime operations on the DVR ideal chain {R, P, ..., P^D, (0)},
-    stable under extension of the chain depth by ``margin``.  The chain's
-    ideals are the powers of P whatever the field, so the ring is over F_2."""
-    ring = Ring(from_generators([1]), PrimeField(2))
-    return search_prime(SearchProblem(ring, D, SEMIPRIME, margin, budget))
+def search_prime(ring: Ring, max_order: int, mode: str = PRIME, margin: int = 2,
+                 budget: int = DEFAULT_BUDGET) -> SearchResult:
+    """All prime operations on ``ideal_window(ring, max_order)``, stable under
+    the margin; with ``mode`` SEMIPRIME, all semiprime operations instead."""
+    if mode not in (PRIME, SEMIPRIME):
+        raise ValueError(f"mode must be prime or semiprime, got {mode}")
+    return _extension_search(lambda n: ideal_window(ring, n), max_order, margin, mode, budget)
 
 
 def search_fractional_chain(D: int, margin: int, budget: int = DEFAULT_BUDGET) -> SearchResult:

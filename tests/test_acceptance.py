@@ -15,10 +15,10 @@ from pathlib import Path
 from semiprime_lab.cli import main
 from semiprime_lab.closures import (
     ChainDomain,
-    IdealSetDomain,
     builtin,
     check_axioms,
     fractional_violation,
+    ideal_window,
 )
 from semiprime_lab.ideals import (
     Ring,
@@ -30,9 +30,8 @@ from semiprime_lab.ideals import (
     ideal_from_generators,
     min_generators,
     product,
-    zero_ideal,
 )
-from semiprime_lab.search import SearchProblem, search_prime, search_semiprime_chain
+from semiprime_lab.search import SEMIPRIME, search_prime
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField, TruncatedSeries
 
@@ -183,9 +182,7 @@ def test_criterion_06_fc_345_is_prime():
         product_instances = 0
         for p in (2, 3):
             ring = Ring(from_generators([3, 4, 5]), PrimeField(p))
-            ideals = enumerate_ideals(ring, 9)
-            ideals.append(zero_ideal(ring))
-            dom = IdealSetDomain(ideals)
+            dom = ideal_window(ring, 9)
             rep = check_axioms(builtin("fc_345", ring), dom, (1, 2, 3, 4, 5))
             assert rep.passed(), f"p={p}"
             assert rep.results[5].skipped == 0
@@ -197,9 +194,7 @@ def test_criterion_06_fc_345_is_prime():
 def test_criterion_07_integral_closure_semiprime_not_prime():
     with timer(7, 10.0):
         ring = Ring(from_generators([2, 5]), PrimeField(2))
-        ideals = enumerate_ideals(ring, 10)
-        ideals.append(zero_ideal(ring))
-        dom = IdealSetDomain(ideals)
+        dom = ideal_window(ring, 10)
         ic = builtin("integral_closure", ring)
         rep = check_axioms(ic, dom, (1, 2, 3, 4, 5))
         assert rep.passed((1, 2, 3, 4))
@@ -222,7 +217,8 @@ def test_criterion_08_dvr_semiprime_classification():
     with timer(8, 60.0):
         oracle_tables = chain_closure_tables_oracle(4)
         assert len(oracle_tables) == 10  # pre-registered brute-force count
-        res = search_semiprime_chain(4, 2)
+        dvr = Ring(from_generators([1]), PrimeField(2))
+        res = search_prime(dvr, 4, SEMIPRIME)
         assert len(res.operations) == len(oracle_tables)
         got = set()
         for op in res.operations:
@@ -247,14 +243,14 @@ def test_criterion_09_prime_uniqueness_2_5(capsys):
         )
         assert payload["operation_count"] == 1
         ring = Ring(from_generators([2, 5]), PrimeField(2))
-        res = search_prime(SearchProblem(ring, 12, "prime", 4))
+        res = search_prime(ring, 12, margin=4)
         assert res.is_identity_only()
 
 
 def test_criterion_10_prime_existence_345():
     with timer(10, 600.0):
         ring = Ring(from_generators([3, 4, 5]), PrimeField(2))
-        res = search_prime(SearchProblem(ring, 9, "prime", 3))
+        res = search_prime(ring, 9, margin=3)
         names = [op.name for op in res.operations]
         assert "identity" in names
         fc = builtin("fc_345", ring)

@@ -11,8 +11,9 @@ from semiprime_lab.closures import (
     IdealSetDomain,
     builtin,
     check_axioms,
+    ideal_window,
 )
-from semiprime_lab.ideals import Ring, enumerate_ideals, zero_ideal
+from semiprime_lab.ideals import Ring
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
 
@@ -21,7 +22,7 @@ ALL = tuple(range(1, 9))
 
 def ideal_domain(gens, p, max_order):
     ring = Ring(from_generators(gens), PrimeField(p))
-    return ring, IdealSetDomain(enumerate_ideals(ring, max_order) + [zero_ideal(ring)])
+    return ring, ideal_window(ring, max_order)
 
 
 def random_tables(domain, rng, count, undefined=0.15):

@@ -84,6 +84,16 @@ def test_lattice_deterministic_and_file_output(tmp_path, capsys):
     assert out_file.read_text() == first
 
 
+def test_lattice_out_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "lat.dot"
+    code, out, err = run(capsys, "lattice", "--gens", "2,5", "--p", "2", "--max-order", "4",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"semiprime-lab: error: cannot write --out {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_verify_fc_345(capsys):
     payload = run_json(capsys, "verify", "--op", "fc_345", "--gens", "3,4,5", "--p", "2",
                        "--max-order", "5", "--axioms", "1-5", "--expect-pass")

@@ -3,16 +3,15 @@ import pytest
 from semiprime_lab.closures import (
     ChainDomain,
     ClosureOperation,
-    IdealSetDomain,
     builtin,
     check_axioms,
     fractional_violation,
+    ideal_window,
     sakuma_consistency,
 )
 from semiprime_lab.errors import DomainGap, PreconditionNotMet, WrongRing
 from semiprime_lab.ideals import (
     Ring,
-    enumerate_ideals,
     ideal_from_generators,
     ideal_label,
     zero_ideal,
@@ -30,13 +29,6 @@ RDVR = Ring(from_generators([1]), F2)
 
 def ideal(ring, *texts):
     return ideal_from_generators(ring, [ring.parse(t) for t in texts])
-
-
-def domain_for(ring, max_order, with_zero=True):
-    ideals = enumerate_ideals(ring, max_order)
-    if with_zero:
-        ideals.append(zero_ideal(ring))
-    return IdealSetDomain(ideals)
 
 
 # ------------------------------------------------------------------- builtins
@@ -92,14 +84,14 @@ def test_table_domain_gap():
 
 
 def test_identity_passes_everything():
-    dom = domain_for(R345, 6)
+    dom = ideal_window(R345, 6)
     rep = check_axioms(builtin("identity", R345), dom, (1, 2, 3, 4, 5, 6, 7, 8))
     assert rep.passed()
     assert all(r.skipped == 0 for r in rep.results.values())
 
 
 def test_integral_closure_semiprime_but_not_prime():
-    dom = domain_for(R25, 10)
+    dom = ideal_window(R25, 10)
     ic = builtin("integral_closure", R25)
     rep = check_axioms(ic, dom, (1, 2, 3, 4, 5))
     assert rep.passed((1, 2, 3, 4))
@@ -121,7 +113,7 @@ def test_integral_closure_semiprime_but_not_prime():
 
 
 def test_all_witnesses_replay():
-    dom = domain_for(R25, 8)
+    dom = ideal_window(R25, 8)
     rep = check_axioms(builtin("integral_closure", R25), dom, (5,))
     assert rep.results[5].witnesses
     for w in rep.results[5].witnesses:
@@ -129,7 +121,7 @@ def test_all_witnesses_replay():
 
 
 def test_fc_345_prime_axioms_small():
-    dom = domain_for(R345, 7)
+    dom = ideal_window(R345, 7)
     rep = check_axioms(builtin("fc_345", R345), dom, (1, 2, 3, 4, 5))
     assert rep.passed()
     assert rep.results[4].skipped == 0
@@ -138,7 +130,7 @@ def test_fc_345_prime_axioms_small():
 
 def test_fc_fixes_products_of_principals():
     fc = builtin("fc_345", R345)
-    dom = domain_for(R345, 7, with_zero=False)
+    dom = ideal_window(R345, 7, include_zero=False)
     principals = dom.principals()
     from semiprime_lab.ideals import min_generators, product
 
@@ -151,14 +143,14 @@ def test_fc_fixes_products_of_principals():
 
 def test_rule_checks_never_skip_at_any_order():
     # products leave the enumerated window but rule operations stay exact
-    dom = domain_for(R25, 4)
+    dom = ideal_window(R25, 4)
     rep = check_axioms(builtin("integral_closure", R25), dom, (4,))
     assert rep.results[4].skipped == 0
     assert rep.results[4].checked == len(dom.elements) ** 2
 
 
 def test_table_checks_skip_out_of_domain_products():
-    dom = domain_for(R25, 4)
+    dom = ideal_window(R25, 4)
     table = {I: I for I in dom.elements}
     op = ClosureOperation("id-table", "table", table=table)
     rep = check_axioms(op, dom, (4,))
@@ -167,7 +159,7 @@ def test_table_checks_skip_out_of_domain_products():
 
 
 def test_axiom_report_json():
-    dom = domain_for(R25, 6)
+    dom = ideal_window(R25, 6)
     rep = check_axioms(builtin("integral_closure", R25), dom, (1, 5))
     js = rep.to_json(dom)
     assert js["axioms"]["1"]["verdict"] == "pass"
@@ -179,20 +171,20 @@ def test_axiom_report_json():
 
 
 def test_sakuma_identity():
-    dom = domain_for(R345, 6)
+    dom = ideal_window(R345, 6)
     rep = sakuma_consistency(builtin("identity", R345), dom)
     assert rep.passed((4, 6, 8))
     assert rep.advisory  # stated for fractional ideals; informational here
 
 
 def test_sakuma_rejects_integral_closure():
-    dom = domain_for(R25, 8)
+    dom = ideal_window(R25, 8)
     with pytest.raises(PreconditionNotMet):
         sakuma_consistency(builtin("integral_closure", R25), dom)
 
 
 def test_sakuma_rejects_dvr_f_m_on_ideal_chain():
-    dom = domain_for(RDVR, 4)
+    dom = ideal_window(RDVR, 4)
     f2 = builtin("dvr_f_m", RDVR, m=2)
     rep5 = check_axioms(f2, dom, (5,))
     b = ideal_from_generators(RDVR, [RDVR.parse("t")])
@@ -204,7 +196,7 @@ def test_sakuma_rejects_dvr_f_m_on_ideal_chain():
 
 def test_dvr_f_g_are_semiprime_on_ideal_chain():
     for D in (4, 8, 12):
-        dom = domain_for(RDVR, D)
+        dom = ideal_window(RDVR, D)
         for m in range(D + 1):
             for name in ("dvr_f_m", "dvr_g_m"):
                 rep = check_axioms(builtin(name, RDVR, m=m), dom, (1, 2, 3, 4))

@@ -6,26 +6,21 @@ import pytest
 
 from oracles import check_axioms_oracle
 from semiprime_lab import closures
-from semiprime_lab.closures import ChainDomain, ClosureOperation, IdealSetDomain, check_axioms
-from semiprime_lab.ideals import (
-    Ring,
-    contains,
-    enumerate_ideals,
-    ideal_from_generators,
-    product,
-    zero_ideal,
+from semiprime_lab.closures import (
+    ChainDomain,
+    ClosureOperation,
+    IdealSetDomain,
+    check_axioms,
+    ideal_window,
 )
-from semiprime_lab.search import SearchProblem, search_prime
+from semiprime_lab.ideals import Ring, contains, ideal_from_generators, product
+from semiprime_lab.search import search_prime
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
 
 F2 = PrimeField(2)
 R25 = Ring(from_generators([2, 5]), F2)
 R27 = Ring(from_generators([2, 7]), F2)
-
-
-def window(ring, max_order):
-    return IdealSetDomain(enumerate_ideals(ring, max_order) + [zero_ideal(ring)])
 
 
 def top_order(domain):
@@ -56,7 +51,7 @@ def formed(monkeypatch):
 
 
 def ideal_sets():
-    full = window(R25, 8)
+    full = ideal_window(R25, 8)
     sparse = IdealSetDomain(full.elements[::2])
     return {"full": full, "sparse": sparse}
 
@@ -91,7 +86,7 @@ def test_chain_product_in_and_contains_at_the_boundary():
 
 
 def test_search_forms_no_product_past_its_window_top(formed):
-    result = search_prime(SearchProblem(R27, 8, margin=2))
+    result = search_prime(R27, 8)
     assert result.is_identity_only()
     assert formed
     assert [(s, top) for s, top in formed if s > top] == []
@@ -115,7 +110,7 @@ def compare_with_oracle(op, domain, formed=None):
 
 
 def test_table_reverification_forms_no_out_of_window_product(formed):
-    domain = window(R27, 8)
+    domain = ideal_window(R27, 8)
     identity = ClosureOperation("identity", "table", table={I: I for I in domain.elements})
     report = compare_with_oracle(identity, domain, formed)
     assert report.passed()
@@ -125,7 +120,7 @@ def test_table_reverification_forms_no_out_of_window_product(formed):
 
 
 def test_table_with_a_key_outside_the_domain_keeps_the_full_product():
-    domain = window(R27, 8)
+    domain = ideal_window(R27, 8)
     t2, t7 = (ideal_from_generators(R27, [R27.parse(t)]) for t in ("t^2", "t^7"))
     outside = product(t2, t7)  # order 9, past the window
     assert outside not in domain.elements

@@ -1,0 +1,61 @@
+"""The paper's two search claims on a corpus of numerical semigroup rings.
+
+Prime search over F_2 at order c + 1 (c the conductor), margin 2, driven
+through the CLI.  The paper claims:
+
+* on rings whose ideals need at most two generators, the identity is the
+  only prime operation: ``<2,3>``, ``<2,5>`` and ``<2,7>`` (13, 136 and
+  11,227 nodes);
+* ``K[[t^3,t^4,t^5]]`` has a prime operation other than the identity.
+
+Each ring is pinned by its operation count and the SHA-256 of its
+``operations`` JSON.  ``<3,4>`` gives 8 operations (1,247 nodes) and
+``<3,4,5>`` 320 (42,535 nodes).  These count the tables on the window that
+extend to the window enlarged by the margin; a window this small still
+holds boundary artifacts, so they are not counts of prime operations on
+the ring.
+
+The other six rings with Frobenius number at most 5 are left out, each
+with its outcome at a 200,000-node budget:
+
+* ``<4,5,6,7>``: budget exhausted after 22 s;
+* ``<3,5,7>``: budget exhausted after 5 s;
+* ``<5,6,7,8,9>``: budget exhausted after 117 s;
+* ``<3,7,8>``: budget exhausted after 22 s;
+* ``<4,6,7,9>``: budget exhausted after 61 s;
+* ``<6,7,8,9,10,11>``: its window at order 7 holds 4,903 ideals, and a
+  search that recursed once per branching level ended in RecursionError.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from semiprime_lab.cli import main
+from semiprime_lab.semigroup import from_generators
+
+IDENTITY_DIGEST = "e24103c2dc1edec1c2cbe06af0de1a2eeae20bce76df8304b9b326fbd7db52db"
+
+CORPUS = [
+    ((2, 3), 1, IDENTITY_DIGEST),
+    ((2, 5), 1, IDENTITY_DIGEST),
+    ((2, 7), 1, IDENTITY_DIGEST),
+    ((3, 4), 8, "d0b333d2869ac1f6340d1e8fbcab629b02155b18545114c048608728f4338fdf"),
+    ((3, 4, 5), 320, "a217ea6e6a9431503d13f90bb69937a5c4bde3e926db144c50a434918ca7c113"),
+]
+
+
+@pytest.mark.parametrize("gens, count, digest", CORPUS,
+                         ids=["_".join(map(str, gens)) for gens, _, _ in CORPUS])
+def test_prime_search_at_order_c_plus_1(capsys, gens, count, digest):
+    order = from_generators(list(gens)).conductor + 1
+    code = main(["search", "--gens", ",".join(map(str, gens)), "--p", "2",
+                 "--max-order", str(order), "--margin", "2", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    payload = json.loads(out)
+    operations = payload["operations"]
+    assert payload["operation_count"] == len(operations) == count
+    assert hashlib.sha256(json.dumps(operations, sort_keys=True).encode()).hexdigest() == digest
+    assert [op["is_identity"] for op in operations].count(True) == 1

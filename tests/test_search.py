@@ -1,21 +1,19 @@
 import random
+import sys
 from itertools import product as iproduct
 
 import pytest
 
-from semiprime_lab import search
-from semiprime_lab.closures import ClosureOperation, builtin, check_axioms, IdealSetDomain
+from semiprime_lab.closures import (
+    ClosureOperation,
+    IdealSetDomain,
+    builtin,
+    check_axioms,
+    ideal_window,
+)
 from semiprime_lab.errors import BudgetExceeded
 from semiprime_lab.ideals import Ring, enumerate_ideals, unit_ideal, zero_ideal
-from semiprime_lab.search import (
-    PRIME,
-    SEMIPRIME,
-    SearchProblem,
-    _Searcher,
-    explain_pruning,
-    search_prime,
-    search_semiprime_chain,
-)
+from semiprime_lab.search import PRIME, SEMIPRIME, _Searcher, explain_pruning, search_prime
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
 
@@ -47,7 +45,7 @@ def expected_chain_tables(D):
 
 
 def test_semiprime_chain_d4_matches_closed_forms_and_bruteforce():
-    res = search_semiprime_chain(4, 2)
+    res = search_prime(RDVR, 4, SEMIPRIME)
     got = set()
     for op in res.operations:
         flat = {}
@@ -63,7 +61,7 @@ def test_semiprime_chain_d4_matches_closed_forms_and_bruteforce():
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
 def test_semiprime_chain_agrees_with_bruteforce(D):
-    res = search_semiprime_chain(D, 2)
+    res = search_prime(RDVR, D, SEMIPRIME)
     assert len(res.operations) == len(chain_closure_tables_oracle(D))
 
 
@@ -71,7 +69,7 @@ def test_semiprime_chain_d0_like_window():
     # the two-element domain {R, (0)} admits the identity and the collapse of 0 to R
     oracle = chain_closure_tables_oracle(0)
     assert len(oracle) == 2
-    res = search_semiprime_chain(0, 2)
+    res = search_prime(RDVR, 0, SEMIPRIME)
     assert len(res.operations) == 2
     values = sorted(
         "unit" if v.is_unit() else v.kind
@@ -83,23 +81,23 @@ def test_semiprime_chain_d0_like_window():
 
 
 def test_prime_mode_on_chain_is_identity_only():
-    res = search_prime(SearchProblem(RDVR, 8, "prime", 2))
+    res = search_prime(RDVR, 8)
     assert [op.name for op in res.operations] == ["identity"]
 
 
 def test_prime_2_5_identity_only():
-    res = search_prime(SearchProblem(R25, 8, "prime", 2))
+    res = search_prime(R25, 8)
     assert res.is_identity_only()
 
 
 def test_prime_2_5_monotone_growth():
     for mo in (8, 10):
-        res = search_prime(SearchProblem(R25, mo, "prime", 2))
+        res = search_prime(R25, mo)
         assert res.is_identity_only(), mo
 
 
 def test_prime_345_contains_identity_and_fc():
-    res = search_prime(SearchProblem(R345, 7, "prime", 2))
+    res = search_prime(R345, 7)
     names = [op.name for op in res.operations]
     assert "identity" in names
     fc = builtin("fc_345", R345)
@@ -110,31 +108,35 @@ def test_prime_345_contains_identity_and_fc():
 
 
 def test_search_results_reverify_via_axiom_checker():
-    res = search_prime(SearchProblem(R345, 7, "prime", 2))
-    ideals = enumerate_ideals(R345, 7) + [zero_ideal(R345)]
-    dom = IdealSetDomain(ideals)
+    res = search_prime(R345, 7)
+    dom = ideal_window(R345, 7)
     for op in res.operations:
         rep = check_axioms(op, dom, (1, 2, 3, 4, 5))
         assert rep.passed(), op.name
 
 
 def test_search_deterministic():
-    a = search_prime(SearchProblem(R25, 10, "prime", 2))
-    b = search_prime(SearchProblem(R25, 10, "prime", 2))
+    a = search_prime(R25, 10)
+    b = search_prime(R25, 10)
     assert [op.table for op in a.operations] == [op.table for op in b.operations]
     assert a.stats.get("nodes") == b.stats.get("nodes")
-    c = search_semiprime_chain(4, 2)
-    d = search_semiprime_chain(4, 2)
+    c = search_prime(RDVR, 4, SEMIPRIME)
+    d = search_prime(RDVR, 4, SEMIPRIME)
     assert [op.table for op in c.operations] == [op.table for op in d.operations]
 
 
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
-        search_prime(SearchProblem(R345, 7, "prime", 2, budget=20))
+        search_prime(R345, 7, budget=20)
+
+
+def test_unknown_mode_is_rejected():
+    with pytest.raises(ValueError, match="mode must be prime or semiprime, got closure"):
+        search_prime(R25, 4, "closure")
 
 
 def test_explain_pruning():
-    res = search_prime(SearchProblem(R25, 6, "prime", 2))
+    res = search_prime(R25, 6)
     text = explain_pruning(res)
     assert "nodes explored" in text
     assert "prunes by cause" in text or "no assignments were rejected" in text
@@ -142,26 +144,49 @@ def test_explain_pruning():
 
 def test_explain_pruning_trivial_space():
     # all proper ideals of the DVR chain are principal: nothing to assign
-    res = search_prime(SearchProblem(RDVR, 4, "prime", 2))
+    res = search_prime(RDVR, 4)
     text = explain_pruning(res)
     assert "nodes explored" in text
 
 
 def test_margin_zero_searches_its_window_once(monkeypatch):
     calls = []
-    real = search._search_window
+    real = _Searcher.run
 
-    def counting(domain, mode, budget, stats):
-        calls.append(len(domain.elements))
-        return real(domain, mode, budget, stats)
+    def counting(self):
+        calls.append(len(self.domain.elements))
+        return real(self)
 
-    monkeypatch.setattr(search, "_search_window", counting)
-    res = search_prime(SearchProblem(R27, 12, "prime", 0))
+    monkeypatch.setattr(_Searcher, "run", counting)
+    res = search_prime(R27, 12, margin=0)
     assert len(calls) == 1
     assert res.is_identity_only()
     assert res.stats["nodes"] == 188
     assert res.stats["extension_nodes"] == 0
     assert res.stats["extension_discarded"] == 0
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # 41 variables to branch on, and only 30 frames to spare above this one:
+    # a search that recursed once per level would raise RecursionError
+    stats = {}
+    searcher = _Searcher(ideal_window(RDVR, 40), SEMIPRIME, 10**6, stats)
+    assert len(searcher.variables) == 41
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 30)
+    try:
+        tables = searcher.run()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(tables) == 82
+    assert stats["nodes"] == 13_203
 
 
 def brute_force_tables(domain, mode):
