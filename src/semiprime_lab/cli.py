@@ -67,15 +67,22 @@ def _emit(payload: dict) -> None:
 
 
 def _budget(args) -> int:
+    """The node budget: ``--budget``, else ``SEMIPRIME_LAB_BUDGET``, else the
+    default; a budget below 1 is a usage error."""
     env = os.environ.get("SEMIPRIME_LAB_BUDGET")
     if getattr(args, "budget", None) is not None:
-        return args.budget
-    if env:
+        budget, source = args.budget, "--budget"
+    elif env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ValueError(f"SEMIPRIME_LAB_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
+        source = "SEMIPRIME_LAB_BUDGET"
+    else:
+        return DEFAULT_BUDGET
+    if budget < 1:
+        raise ValueError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def cmd_semigroup(args) -> int:

@@ -19,6 +19,7 @@ from .ideals import (
     Ring,
     canonical_key,
     contains as ideal_contains,
+    containment_rows,
     enumerate_ideals,
     ideal_from_generators,
     ideal_label,
@@ -58,9 +59,17 @@ class ClosureOperation:
 
 
 class IdealSetDomain:
-    """A finite set of canonical ideals of one ring, with cached arithmetic."""
+    """A finite set of canonical ideals of one ring, with cached arithmetic.
 
-    def __init__(self, ideals):
+    A domain built with ``base`` (a smaller window of the same ring) takes
+    over the base's instance of every ideal the two share, and shares its
+    memos, so no product, sum or intersection the base formed is formed
+    again.
+    """
+
+    def __init__(self, ideals, base: "IdealSetDomain | None" = None):
+        if base is not None:
+            ideals = [base._own(I) or I for I in ideals]
         elements = sorted(set(ideals), key=canonical_key)
         if not elements:
             raise ValueError("empty ideal set")
@@ -69,13 +78,15 @@ class IdealSetDomain:
             if I.ring != self.ring:
                 raise ValueError("all ideals must share one ring")
         self.elements = elements
-        self._set = frozenset(elements)
+        self._index = {I: i for i, I in enumerate(elements)}
         self._top = max((I.order for I in elements if I.is_proper()), default=0)
-        self._prod = {}
-        self._sum = {}
-        self._meet = {}
-        self._cont = {}
+        self._rows = None
         self._principals = None
+        if base is None:
+            self._prod, self._sum, self._meet, self._cont = {}, {}, {}, {}
+        else:
+            self._prod, self._sum, self._meet, self._cont = (
+                base._prod, base._sum, base._meet, base._cont)
 
     def _memo(self, memo, op, a, b):
         """op(a, b) for a symmetric op, computed once per unordered pair."""
@@ -94,8 +105,13 @@ class IdealSetDomain:
         proper ideals whose orders sum past the top order is never formed."""
         if a.is_proper() and b.is_proper() and a.order + b.order > self._top:
             return None
-        r = self.product(a, b)
-        return r if r in self._set else None
+        return self._own(self.product(a, b))
+
+    def _own(self, I):
+        """The set's own instance of I, None if I is not in the set; later
+        dict probes with it then meet the element itself, not an equal copy."""
+        i = self._index.get(I)
+        return None if i is None else self.elements[i]
 
     def sum(self, a, b):
         return self._memo(self._sum, ideal_sum, a, b)
@@ -103,7 +119,21 @@ class IdealSetDomain:
     def intersect(self, a, b):
         return self._memo(self._meet, ideal_intersect, a, b)
 
+    def containment(self):
+        """``rows[i]``: the bitset of the j with elements[i] containing
+        elements[j], i itself included; built on first use.  From then on
+        ``contains`` on two elements reads these rows."""
+        if self._rows is None:
+            rows = containment_rows(self.elements)
+            self._rows = [row | 1 << i for i, row in enumerate(rows)]
+        return self._rows
+
     def contains(self, a, b) -> bool:
+        if self._rows is not None:
+            i = self._index.get(a)
+            j = self._index.get(b)
+            if i is not None and j is not None:
+                return self._rows[i] >> j & 1 == 1
         if a.is_proper() and not b.is_zero() and a.order > b.order:
             return False  # b (proper or the unit) has an element of order below a's
         key = (a, b)
@@ -145,14 +175,16 @@ class IdealSetDomain:
         return (I.is_zero(), I.order, -len(I.window), I.window)
 
 
-def ideal_window(ring: Ring, max_order: int, include_zero: bool = True) -> IdealSetDomain:
+def ideal_window(ring: Ring, max_order: int, include_zero: bool = True,
+                 base: IdealSetDomain | None = None) -> IdealSetDomain:
     """The ideals of order <= ``max_order`` and the unit, plus the zero ideal
     unless ``include_zero`` is false: the window that searches and axiom
-    checks run on."""
+    checks run on.  ``base``, a smaller window, lends its instances and
+    memos (see ``IdealSetDomain``)."""
     ideals = enumerate_ideals(ring, max_order)
     if include_zero:
         ideals.append(zero_ideal(ring))
-    return IdealSetDomain(ideals)
+    return IdealSetDomain(ideals, base)
 
 
 class ChainDomain:
@@ -189,6 +221,11 @@ class ChainDomain:
 
     def contains(self, a, b) -> bool:
         return a <= b
+
+    def containment(self):
+        """``rows[i]``: the bitset of the j with elements[i] <= elements[j]."""
+        n = len(self.elements)
+        return [(1 << n) - (1 << i) for i in range(n)]
 
     def principals(self):
         return [i for i in self.elements if i != 0]

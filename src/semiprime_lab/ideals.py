@@ -242,8 +242,9 @@ def product(I: IdealCanon, J: IdealCanon) -> IdealCanon:
     if c == 0:
         return _proper(ring, n, ())
     p = ring.field.p
-    vecs = [_convolve_window(a, b, c, p) for a in I.window for b in J.window]
-    rows, _ = _close_under_shifts(ring, vecs)
+    # I and J are shift-closed, so t^g.ab = (t^g.a)b already lies in the span
+    # of the row products: one row reduction, no closure pass.
+    rows, _ = rref([_convolve_window(a, b, c, p) for a in I.window for b in J.window], p)
     return _proper(ring, n, rows)
 
 
@@ -674,14 +675,10 @@ def hasse_diagram(ideals) -> str:
     """DOT digraph of the covering relation of containment (edges point from
     the containing ideal to the covered one); deterministic node order.
 
-    ``below[i]`` is the bitset of the ideals that ideals[i] strictly
-    contains, and ``above[j]`` the bitset of those strictly containing
-    ideals[j]; A covers B iff B is below A and ``below[A] & above[B]`` is
-    empty.  Rows of ``below`` are filled from the end of the sorted list,
-    where the small ideals sit, and a containment found brings in the whole
-    row of the contained ideal, whose pairs then need no test.  No pair is
-    skipped by sort position: a proper ideal can contain one of its own
-    order that sorts before it.
+    ``below[i]`` (see ``containment_rows``) is the bitset of the ideals that
+    ideals[i] strictly contains, and ``above[j]`` the bitset of those
+    strictly containing ideals[j]; A covers B iff B is below A and
+    ``below[A] & above[B]`` is empty.
     """
     ideals = sorted(set(ideals), key=canonical_key)
     if not ideals:
@@ -691,15 +688,7 @@ def hasse_diagram(ideals) -> str:
         if I.ring != ring:
             raise RingMismatch("hasse_diagram needs ideals of a single ring")
     n = len(ideals)
-    below = [0] * n
-    for i in reversed(range(n)):
-        A = ideals[i]
-        piv = _pivots(A)
-        row = 0
-        for j, B in enumerate(ideals):
-            if i != j and not row >> j & 1 and _contains(A, B, piv):
-                row |= 1 << j | below[j]
-        below[i] = row
+    below = containment_rows(ideals)
     above = [0] * n
     for i in range(n):
         for j in _bits(below[i]):
@@ -715,6 +704,49 @@ def hasse_diagram(ideals) -> str:
                 lines.append(f"  {ids[i]} -> {ids[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def containment_rows(ideals):
+    """``rows[i]``: the bitset of the j != i with ideals[i] containing
+    ideals[j], for distinct ideals of one ring.
+
+    Rows are filled from the end of the list, where the small ideals sit
+    in canonical order, and a containment found brings in the whole row of
+    the contained ideal, whose pairs then need no test.  No pair is skipped
+    by list position: a proper ideal can contain one of its own order that
+    sorts before it.  A pair whose value sets (``_value_set``) are not
+    nested is rejected without row reduction.
+    """
+    n = len(ideals)
+    values = [_value_set(I) for I in ideals]
+    rows = [0] * n
+    for i in reversed(range(n)):
+        A = ideals[i]
+        outside = ~values[i]
+        piv = _pivots(A)
+        row = 0
+        for j, B in enumerate(ideals):
+            if (i != j and not row >> j & 1 and not values[j] & outside
+                    and _contains(A, B, piv)):
+                row |= 1 << j | rows[j]
+        rows[i] = row
+    return rows
+
+
+def _value_set(I: IdealCanon) -> int:
+    """Bitset of the orders of the nonzero elements of I, with the infinite
+    tail of a proper ideal as the sign bits; the unit is -1 (every bit) and
+    the zero ideal 0.  I containing J implies that J's value set lies
+    inside I's."""
+    if I.kind == UNIT:
+        return -1
+    if I.kind == ZERO:
+        return 0
+    n = I.order
+    mask = -(1 << (n + I.ring.conductor))  # every order >= n + c
+    for q in _pivots(I):
+        mask |= 1 << (n + q)
+    return mask
 
 
 def _bits(mask):

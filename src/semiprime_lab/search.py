@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .closures import ChainDomain, ClosureOperation, check_axioms, ideal_window
-from .ideals import Ring
+from .ideals import Ring, _bits
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -55,12 +55,13 @@ class _Searcher:
         self.found: list[dict] = []
         self.prunes = stats.setdefault("prunes", {})
         self.eliminations = stats.setdefault("eliminations", {})
-        # supersets/subsets and in-window product structure
-        self.supersets = {I: [J for J in elts if J != I and domain.contains(J, I)] for I in elts}
-        self.subsets = {I: [] for I in elts}
+        # supersets/subsets, in element order, and in-window product structure
+        self.subsets = {I: [elts[j] for j in _bits(row & ~(1 << i))]
+                        for i, (I, row) in enumerate(zip(elts, domain.containment()))}
+        self.supersets = {I: [] for I in elts}
         for J in elts:
-            for I in self.supersets[J]:
-                self.subsets[I].append(J)
+            for I in self.subsets[J]:
+                self.supersets[I].append(J)
         self.pairs_by_product: dict = {}
         self.factor_pairs: dict = {I: [] for I in elts}
         skipped = 0
@@ -70,7 +71,7 @@ class _Searcher:
                 if P is not None:
                     self.pairs_by_product.setdefault(P, []).append((A, B))
                     self.factor_pairs[A].append((B, P))
-                    if B != A:
+                    if B is not A:
                         self.factor_pairs[B].append((A, P))
                 else:
                     skipped += 1
@@ -89,7 +90,7 @@ class _Searcher:
         self.prunes[cause] = self.prunes.get(cause, 0) + 1
         key = (self.domain.key(var), self.domain.key(val))
         if key not in self.eliminations:
-            self.eliminations[key] = (str(var), str(val), cause)
+            self.eliminations[key] = (var, val, cause)
 
     def _propagate(self, x, v) -> bool:
         """Assign f(x) = v plus everything it forces; False on conflict."""
@@ -204,22 +205,24 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
     """The tables on ``window(size)`` that are restrictions of tables on
     ``window(size + margin)``, each re-verified by ``check_axioms``.
 
-    The larger window is built only after the first search has finished, so
-    a run stopped by the budget there never pays for enumerating it.  With
-    margin 0 the larger window is the same window, so every table survives
-    and no second search is run.
+    ``window(n, base)`` builds a window; the larger one gets the smaller as
+    ``base`` (the smaller one gets None), whose instances and memos it
+    reuses.  It is built only after the first search has finished, so a run
+    stopped by the budget there never pays for enumerating it.  With margin
+    0 the larger window is the same window, so every table survives and no
+    second search is run.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
     stats: dict = {}
-    small_domain = window(size)
+    small_domain = window(size, None)
     small_tables = _Searcher(small_domain, mode, budget, stats).run()
     small_tables.sort(key=lambda T: _table_key(small_domain, T))
     stats["window_candidates"] = len(small_tables)
     survivors = small_tables
     big_stats: dict = {}
     if margin:
-        big_tables = _Searcher(window(size + margin), mode, budget, big_stats).run()
+        big_tables = _Searcher(window(size + margin, small_domain), mode, budget, big_stats).run()
         small_set = set(small_domain.elements)
         restrictions = set()
         for T in big_tables:
@@ -247,7 +250,8 @@ def search_prime(ring: Ring, max_order: int, mode: str = PRIME, margin: int = 2,
     the margin; with ``mode`` SEMIPRIME, all semiprime operations instead."""
     if mode not in (PRIME, SEMIPRIME):
         raise ValueError(f"mode must be prime or semiprime, got {mode}")
-    return _extension_search(lambda n: ideal_window(ring, n), max_order, margin, mode, budget)
+    return _extension_search(lambda n, base: ideal_window(ring, n, base=base),
+                             max_order, margin, mode, budget)
 
 
 def search_fractional_chain(D: int, margin: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -257,7 +261,7 @@ def search_fractional_chain(D: int, margin: int, budget: int = DEFAULT_BUDGET) -
     Seeding f(R) = R loses nothing: axiom 4 at (R, R) puts f(R) inside R,
     and axiom 1 puts R inside f(R).
     """
-    return _extension_search(ChainDomain, D, margin, SEMIPRIME, budget)
+    return _extension_search(lambda n, base: ChainDomain(n), D, margin, SEMIPRIME, budget)
 
 
 def explain_pruning(result: SearchResult) -> str:

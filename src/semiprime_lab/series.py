@@ -91,6 +91,10 @@ class TruncatedSeries:
         return " + ".join(parts) if parts else "0"
 
 
+# The largest exponent a series text may name.  Its coefficient vector is
+# dense, so a larger exponent would allocate memory in proportion to it.
+MAX_EXPONENT = 100_000
+
 _TERM_RE = re.compile(r"^([0-9]+)?\*?(t(?:\^([0-9]+))?)?$")
 
 
@@ -100,7 +104,7 @@ def parse_series(field: PrimeField, text: str, bound: int | None = None,
 
     Accepted terms: ``7``, ``t``, ``t^5``, ``3t^5``, ``3*t^5``.  The default
     bound is one past the largest exponent, i.e. the text is read as an
-    exact polynomial.
+    exact polynomial.  An exponent above ``MAX_EXPONENT`` is refused.
     """
     s = text.replace(" ", "")
     if not s:
@@ -123,6 +127,8 @@ def parse_series(field: PrimeField, text: str, bound: int | None = None,
             e = 1
         else:
             e = int(m.group(3))
+            if e > MAX_EXPONENT:
+                raise ValueError(f"exponent {e} in {text!r} exceeds the limit {MAX_EXPONENT}")
         acc[e] = acc.get(e, 0) + (-c if sign == "-" else c)
     top = max(acc)
     b = bound if bound is not None else top + 1

@@ -7,7 +7,9 @@ coefficients, full table enumeration on valuation chains, the eight
 closure-operation axioms checked by separate hand-written loops, reference
 series arithmetic (product and unit inversion in K[[t]]), the
 three-branch ideal sort key, the enumerator that forms every RREF matrix
-whole, and the cubic covering scan for Hasse diagrams.  The last one uses
+whole, the ideal product that closes the row products under the
+generator shifts until nothing new appears, and the cubic covering scan
+for Hasse diagrams.  The last one uses
 the package's ``contains`` and node labels, so it checks the covering
 logic and the DOT text, not containment itself.
 """
@@ -397,6 +399,67 @@ def enumerate_ideals_oracle(ring, max_order):
                 ):
                     found.append(IdealCanon(ring, "proper", n, rows))
         out.extend(sorted(found, key=canonical_key_oracle))
+    return out
+
+
+def rref_oracle(vectors, width, p):
+    """Reduced row echelon basis of the span, by Gauss-Jordan elimination."""
+    mat = [[x % p for x in v] for v in vectors]
+    r = 0
+    for col in range(width):
+        k = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        inv = pow(mat[r][col], p - 2, p)
+        mat[r] = [x * inv % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return tuple(tuple(row) for row in mat[:r])
+
+
+def product_oracle(I, J):
+    """Canonical form of I*J: every product of a row of I with a row of J,
+    truncated to the conductor window, then closed under the generator
+    shifts until no new vector appears."""
+    ring = I.ring
+    if I.kind == "zero" or J.kind == "zero":
+        return IdealCanon(ring, "zero", None, ())
+    if I.kind == "unit":
+        return J
+    if J.kind == "unit":
+        return I
+    c = ring.conductor
+    p = ring.field.p
+    n = I.order + J.order
+    if c == 0:
+        return IdealCanon(ring, "proper", n, ())
+    vectors = [
+        tuple(sum(a[i] * b[k - i] for i in range(k + 1)) % p for k in range(c))
+        for a in I.window
+        for b in J.window
+    ]
+    shifts = [g for g in ring.semigroup.generators if g < c]
+    rows = rref_oracle(vectors, c, p)
+    while True:
+        closed = rref_oracle(list(rows) + [shift_vec(r, g, c) for r in rows for g in shifts], c, p)
+        if closed == rows:
+            return IdealCanon(ring, "proper", n, rows)
+        rows = closed
+
+
+def value_set_oracle(I, top):
+    """Orders below ``top`` of the nonzero elements of a proper ideal, from
+    the full span of its window (the tail adds every order >= n + c)."""
+    n, c, p = I.order, I.ring.conductor, I.ring.field.p
+    out = {e for e in range(n + c, top)}
+    for v in span(I.window, c, p):
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None and n + lead < top:
+            out.add(n + lead)
     return out
 
 

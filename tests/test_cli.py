@@ -193,6 +193,50 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, env, message", [
+    ("0", None, "--budget must be at least 1, got 0"),
+    ("-1", None, "--budget must be at least 1, got -1"),
+    (None, "0", "SEMIPRIME_LAB_BUDGET must be at least 1, got 0"),
+    (None, "-1", "SEMIPRIME_LAB_BUDGET must be at least 1, got -1"),
+])
+def test_budget_below_one_is_a_usage_error(capsys, monkeypatch, flag, env, message):
+    argv = ["search", "--gens", "2,5", "--p", "2", "--max-order", "4"]
+    if flag is not None:
+        argv += ["--budget", flag]
+    if env is not None:
+        monkeypatch.setenv("SEMIPRIME_LAB_BUDGET", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"semiprime-lab: error: {message}\n")
+
+
+def test_budget_flag_wins_over_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("SEMIPRIME_LAB_BUDGET", "0")
+    payload = run_json(capsys, "search", "--gens", "2,5", "--p", "2", "--max-order", "4",
+                       "--budget", "1000")
+    assert payload["operation_count"] == 1
+
+
+def test_huge_exponent_is_refused_before_allocating(capsys):
+    # a dense coefficient vector up to t^99999999 would take gigabytes
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "canon", "--gens", "2,5", "--p", "2",
+                             "--elem", "t^2+t^99999999")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert (code, out) == (2, "")
+    assert err == ("semiprime-lab: error: exponent 99999999 in 't^2+t^99999999' "
+                   "exceeds the limit 100000\n")
+
+
+def test_exponent_at_the_limit_is_accepted(capsys):
+    code, out, err = run(capsys, "canon", "--gens", "2,5", "--p", "2", "--elem", "t^2+t^100000")
+    assert (code, err) == (0, "")
+    assert out.startswith("(t^2)")
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SEMIPRIME_LAB_BUDGET", "10")
     code, out, err = run(capsys, "search", "--gens", "2,5", "--p", "2",

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from semiprime_lab.errors import FieldMismatch, NotAUnit, NotInRing
 from semiprime_lab.semigroup import from_generators
-from semiprime_lab.series import PrimeField, TruncatedSeries, monomial, parse_series
+from semiprime_lab.series import MAX_EXPONENT, PrimeField, TruncatedSeries, monomial, parse_series
 
 from oracles import series_invert_unit, series_mul
 
@@ -118,6 +118,12 @@ def test_parse_and_print():
         parse_series(F2, "t^^2")
     with pytest.raises(ValueError):
         parse_series(F2, "")
+
+
+def test_parse_refuses_exponents_above_the_limit():
+    assert parse_series(F2, f"t^{MAX_EXPONENT}").bound == MAX_EXPONENT + 1
+    with pytest.raises(ValueError, match=f"exponent {MAX_EXPONENT + 1} in .* exceeds the limit"):
+        parse_series(F2, f"1+t^{MAX_EXPONENT + 1}")
 
 
 def test_order_and_zero():
