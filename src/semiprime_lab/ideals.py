@@ -13,7 +13,6 @@ ever loses precision, whatever the order involved.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -404,6 +403,20 @@ def min_generators(I: IdealCanon) -> int:
     return len(I.window) + ring.semigroup.multiplicity - len(mI.window)
 
 
+def is_principal(I: IdealCanon) -> bool:
+    """``min_generators(I) == 1``, read off the pivots without a product.
+
+    A principal ideal (f) of order n has value set n + S, so its pivots are
+    the elements of S below the conductor.  Conversely, pivots equal to
+    those give I the value set of (f) for its order-n element f, and an
+    ideal containing (f) with the same value set equals it.
+    """
+    if not I.is_proper():
+        raise NotProper(f"is_principal needs a proper ideal, got {I.kind}")
+    S = I.ring.semigroup
+    return _pivots(I) == tuple(s for s in range(I.ring.conductor) if S.contains(s))
+
+
 def integral_closure_ideal(I: IdealCanon) -> IdealCanon:
     """The order filter {f in R : order(f) >= order(I)}."""
     if not I.is_proper():
@@ -665,6 +678,8 @@ def ideal_record(I: IdealCanon) -> dict:
 
 
 def _node_id(I: IdealCanon) -> str:
+    import hashlib  # only the lattice needs it; most commands never load it
+
     key = (
         f"{I.ring.semigroup.generators}|{I.ring.field.p}|{I.kind}|{I.order}|{I.window}"
     )

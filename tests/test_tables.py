@@ -1,19 +1,22 @@
 """The search's window tables: the product without a closure pass, the
-containment rows with their value-set prefilter, and the extension window
-that reuses the smaller window's instances and memos."""
+containment rows with their value-set prefilter, the extension window
+that reuses the smaller window's instances and memos, the principal test
+read off the pivots, and the re-verification of an exact table."""
 
 import sys
 
 import pytest
 
 from semiprime_lab import closures, ideals as ideals_module
-from semiprime_lab.closures import ideal_window
+from semiprime_lab.closures import AXIOMS, ClosureOperation, check_axioms, ideal_window
 from semiprime_lab.ideals import (
     Ring,
     _value_set,
     contains,
     containment_rows,
     ideal_from_generators,
+    is_principal,
+    min_generators,
     product,
     unit_ideal,
     zero_ideal,
@@ -22,7 +25,7 @@ from semiprime_lab.search import PRIME, SEMIPRIME, SearchResult, _Searcher, expl
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
 
-from oracles import product_oracle, value_set_oracle
+from oracles import check_axioms_oracle, product_oracle, value_set_oracle
 
 
 def ring(gens, p):
@@ -205,3 +208,69 @@ def test_extension_window_forms_no_product_twice(monkeypatch):
     assert all(a in big_elements and b in big_elements for a, b in small_pairs)
     assert big._prod is small._prod
 
+
+
+@pytest.mark.parametrize("gens, p, max_order", PRODUCT_WINDOWS,
+                         ids=["_".join(map(str, g)) + f"_f{p}" for g, p, _ in PRODUCT_WINDOWS])
+def test_is_principal_matches_min_generators(gens, p, max_order):
+    proper = [I for I in ideal_window(ring(gens, p), max_order).elements if I.is_proper()]
+    for I in proper:
+        assert is_principal(I) == (min_generators(I) == 1), I
+    assert any(is_principal(I) for I in proper)
+    if gens != (1,):
+        assert not all(is_principal(I) for I in proper)
+
+
+def test_principals_form_no_product(monkeypatch):
+    formed = []
+    real = ideals_module.product
+
+    def recording(a, b):
+        formed.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(ideals_module, "product", recording)
+    monkeypatch.setattr(closures, "ideal_product", recording)
+    domain = ideal_window(ring([2, 7], 2), 10)
+    assert len(domain.principals()) == sum(
+        1 for I in domain.elements if I.is_proper() and min_generators(I) == 1)
+    formed.clear()
+    ideal_window(ring([2, 7], 2), 10).principals()
+    assert formed == []
+
+
+def test_product_in_keeps_the_window_instance_in_the_memo():
+    domain = ideal_window(ring([2, 5], 3), 8)
+    own = {I: I for I in domain.elements}
+    for A in domain.elements:
+        for B in domain.elements:
+            P = domain.product_in(A, B)
+            if P is None:
+                assert A.order + B.order > 8
+                continue
+            assert P is own[P]
+            assert domain.product(A, B) is P
+            assert domain.product(B, A) is P
+            assert P == product(A, B)
+
+
+def test_exact_table_reads_no_value_at_an_out_of_window_product(monkeypatch):
+    domain = ideal_window(ring([2, 7], 2), 9)
+    identity = ClosureOperation("identity", "table", table={I: I for I in domain.elements})
+    checked = []
+    for ax in (4, 5):
+        spec = AXIOMS[ax]
+
+        def recording(f, d, a, b, check=spec.check):
+            checked.append((a, b))
+            return check(f, d, a, b)
+
+        monkeypatch.setitem(AXIOMS, ax, spec._replace(check=recording))
+    report = check_axioms(identity, domain, (4, 5))
+    expected = check_axioms_oracle(identity, domain, (4, 5))
+    for ax in (4, 5):
+        res = report.results[ax]
+        assert (res.checked, res.skipped, res.witnesses) == expected[ax]
+        assert res.skipped > 0
+    assert len(checked) == report.results[4].checked + report.results[5].checked
+    assert all(domain.product_in(a, b) is not None for a, b in checked)
