@@ -53,9 +53,10 @@ class ClosureOperation:
     def defined_at(self, x) -> bool:
         return self.kind == "rule" or x in self.table
 
-    def at_product(self, domain, a, b):
-        """The value at the product a*b."""
-        return self(domain.product(a, b))
+
+def _pair(a, b):
+    """The memo key of the unordered pair {a, b}."""
+    return (a, b) if canonical_key(a) <= canonical_key(b) else (b, a)
 
 
 class IdealSetDomain:
@@ -90,7 +91,7 @@ class IdealSetDomain:
 
     def _memo(self, memo, op, a, b):
         """op(a, b) for a symmetric op, computed once per unordered pair."""
-        key = (a, b) if canonical_key(a) <= canonical_key(b) else (b, a)
+        key = _pair(a, b)
         r = memo.get(key)
         if r is None:
             r = op(*key)
@@ -110,7 +111,7 @@ class IdealSetDomain:
         P = self.product(a, b)
         own = self._own(P)
         if own is not None and own is not P:
-            self._prod[(a, b) if canonical_key(a) <= canonical_key(b) else (b, a)] = own
+            self._prod[_pair(a, b)] = own
         return own
 
     def _own(self, I):
@@ -158,10 +159,8 @@ class IdealSetDomain:
         return self._principals
 
     def unit_element(self):
-        for I in self.elements:
-            if I.is_unit():
-                return I
-        return None
+        """The unit ideal, first in canonical order; None if the set lacks it."""
+        return self.elements[0] if self.elements[0].is_unit() else None
 
     def describe(self, x) -> str:
         return ideal_label(x)
@@ -268,10 +267,10 @@ class Witness:
     _source: tuple = dc_field(default=None, repr=False)  # (op, domain)
 
     def replay(self) -> bool:
-        """Recompute the cited instance from the operation itself, without
-        the memo of the check; True iff the violation still holds."""
+        """Recompute the cited instance through a fresh value reader, not the
+        memo of the check; True iff the violation still holds."""
         op, domain = self._source
-        holds, _ = AXIOMS[self.axiom].check(op, domain, *self.inputs)
+        holds, _ = AXIOMS[self.axiom].check(_Values(op, domain), domain, *self.inputs)
         return not holds
 
 

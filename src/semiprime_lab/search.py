@@ -42,11 +42,17 @@ class _Searcher:
     incremental axiom checks of ``mode``."""
 
     def __init__(self, domain, mode: str, budget: int, stats: dict):
+        elts = domain.elements
+        n = len(elts)
+        pairs = n * (n + 1) // 2
+        if pairs > budget:
+            # the tables below hold an entry per pair: refuse before forming any
+            raise BudgetExceeded(f"search window of {n} elements has {pairs} pairs, "
+                                 f"more than the budget of {budget} nodes", stats)
         self.domain = domain
         self.mode = mode
         self.budget = budget
         self.stats = stats
-        elts = domain.elements
         seeds = domain.search_seeds(mode == PRIME)
         fixed = set(seeds)
         self.variables = sorted((x for x in elts if x not in fixed), key=domain.branch_key)
@@ -55,26 +61,24 @@ class _Searcher:
         self.found: list[dict] = []
         self.prunes = stats.setdefault("prunes", {})
         self.eliminations = stats.setdefault("eliminations", {})
-        # supersets/subsets, in element order, and in-window product structure
+        # supersets/subsets, in element order, and the in-window product
+        # instances (A, B, A*B), each listed once under every element it names
         self.subsets = {I: [elts[j] for j in _bits(row & ~(1 << i))]
                         for i, (I, row) in enumerate(zip(elts, domain.containment()))}
         self.supersets = {I: [] for I in elts}
         for J in elts:
             for I in self.subsets[J]:
                 self.supersets[I].append(J)
-        self.pairs_by_product: dict = {}
-        self.factor_pairs: dict = {I: [] for I in elts}
+        self.instances: dict = {I: [] for I in elts}
         skipped = 0
         for i, A in enumerate(elts):
             for B in elts[i:]:
                 P = domain.product_in(A, B)
-                if P is not None:
-                    self.pairs_by_product.setdefault(P, []).append((A, B))
-                    self.factor_pairs[A].append((B, P))
-                    if B is not A:
-                        self.factor_pairs[B].append((A, P))
-                else:
+                if P is None:
                     skipped += 1
+                    continue
+                for X in {A, B, P}:
+                    self.instances[X].append((A, B, P))
         stats["skipped_product_instances"] = stats.get("skipped_product_instances", 0) + skipped
         self.principal_list = domain.principals() if mode == PRIME else []
         for x in seeds:
@@ -124,18 +128,12 @@ class _Searcher:
                     self._prune("monotone", a, w)
                     return False
             # product instances that became fully assigned
-            for (A, B) in self.pairs_by_product.get(a, ()):  # a = A*B
-                fA = self.assign.get(A) if A != a else w
-                fB = self.assign.get(B) if B != a else w
-                if fA is not None and fB is not None:
-                    if not domain.contains(w, domain.product(fA, fB)):
-                        self._prune("product", a, w)
-                        return False
-            for (K, P) in self.factor_pairs[a]:  # a*K = P
-                fK = w if K == a else self.assign.get(K)
+            for (A, B, P) in self.instances[a]:
+                fA = w if A == a else self.assign.get(A)
+                fB = w if B == a else self.assign.get(B)
                 fP = w if P == a else self.assign.get(P)
-                if fK is not None and fP is not None:
-                    if not domain.contains(fP, domain.product(w, fK)):
+                if fA is not None and fB is not None and fP is not None:
+                    if not domain.contains(fP, domain.product(fA, fB)):
                         self._prune("product", a, w)
                         return False
             self.assign[a] = w

@@ -44,9 +44,10 @@ class NumericalSemigroup:
 def from_generators(gens) -> NumericalSemigroup:
     """Build the numerical semigroup generated by ``gens``.
 
-    Membership is computed by a dynamic sieve; the sieve window is grown
-    until it ends in ``min(gens)`` consecutive members, which certifies
-    that everything beyond is a member too.
+    One sieve pass decides membership of 1, 2, 3, ... in turn and stops at
+    the first run of ``min(gens)`` consecutive members: adding ``min(gens)``
+    to the members of that run gives every larger integer, so the
+    non-members seen before it are all the gaps.
     """
     gens = [int(g) for g in gens]
     if not gens:
@@ -59,22 +60,12 @@ def from_generators(gens) -> NumericalSemigroup:
     g1 = gens[0]
     if g1 == 1:
         return NumericalSemigroup((1,), (), -1, 0)
-    bound = min(gens[0] * gens[1], 2 * gens[0] * gens[-1]) + g1 + 1
-    while True:
-        member = [False] * (bound + 1)
-        member[0] = True
-        for e in range(1, bound + 1):
-            member[e] = any(e >= g and member[e - g] for g in gens)
-        start = None
-        run = 0
-        for e in range(bound + 1):
-            run = run + 1 if member[e] else 0
-            if run == g1:
-                start = e - g1 + 1
-                break
-        if start is not None:
-            break
-        bound *= 2
-    gaps = tuple(e for e in range(1, start) if not member[e])
+    member, gaps, run = [True], [], 0
+    while run < g1:
+        e = len(member)
+        member.append(any(member[e - g] for g in gens if g <= e))
+        run = run + 1 if member[e] else 0
+        if not run:
+            gaps.append(e)
     frobenius = gaps[-1] if gaps else -1
-    return NumericalSemigroup(tuple(gens), gaps, frobenius, frobenius + 1)
+    return NumericalSemigroup(tuple(gens), tuple(gaps), frobenius, frobenius + 1)

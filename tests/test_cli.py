@@ -237,6 +237,16 @@ def test_exponent_at_the_limit_is_accepted(capsys):
     assert out.startswith("(t^2)")
 
 
+def test_search_window_past_the_budget_ends_with_one_line(capsys, monkeypatch):
+    # 4,002 elements hold 8,010,003 pairs, more than the default 5M-node budget
+    monkeypatch.delenv("SEMIPRIME_LAB_BUDGET", raising=False)
+    code, out, err = run(capsys, "search", "--gens", "1", "--p", "2", "--mode", "semiprime",
+                         "--max-order", "4000")
+    assert (code, out) == (1, "")
+    assert err == ("BudgetExceeded: search window of 4002 elements has 8010003 pairs, "
+                   "more than the budget of 5000000 nodes\n")
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SEMIPRIME_LAB_BUDGET", "10")
     code, out, err = run(capsys, "search", "--gens", "2,5", "--p", "2",

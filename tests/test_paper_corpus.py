@@ -23,8 +23,12 @@ with its outcome at a 200,000-node budget:
 * ``<5,6,7,8,9>``: budget exhausted after 117 s;
 * ``<3,7,8>``: budget exhausted after 22 s;
 * ``<4,6,7,9>``: budget exhausted after 61 s;
-* ``<6,7,8,9,10,11>``: its window at order 7 holds 4,903 ideals, and a
-  search that recursed once per branching level ended in RecursionError.
+* ``<6,7,8,9,10,11>``: its window at order 7 holds 4,904 elements and
+  12,027,060 pairs, more than the budget, so the search refuses it at once
+  with ``BudgetExceeded`` before it builds any table.
+
+The margin sweep below pins the window counts of ``<2,5>``, ``<3,4>`` and
+``<3,4,5>`` at margins 2 to 6, next to each ring's multiplicity.
 """
 
 import hashlib
@@ -33,7 +37,10 @@ import json
 import pytest
 
 from semiprime_lab.cli import main
+from semiprime_lab.ideals import Ring
+from semiprime_lab.search import search_prime
 from semiprime_lab.semigroup import from_generators
+from semiprime_lab.series import PrimeField
 
 IDENTITY_DIGEST = "e24103c2dc1edec1c2cbe06af0de1a2eeae20bce76df8304b9b326fbd7db52db"
 
@@ -59,3 +66,24 @@ def test_prime_search_at_order_c_plus_1(capsys, gens, count, digest):
     assert payload["operation_count"] == len(operations) == count
     assert hashlib.sha256(json.dumps(operations, sort_keys=True).encode()).hexdigest() == digest
     assert [op["is_identity"] for op in operations].count(True) == 1
+
+
+# (generators, multiplicity, order, operation count at margins 2 to 6)
+MARGIN_SWEEP = [
+    ((2, 5), 2, 5, [1, 1, 1, 1, 1]),
+    ((3, 4), 3, 7, [8, 1, 1, 1, 1]),
+    ((3, 4, 5), 3, 4, [320, 3, 3, 3, 3]),
+]
+
+
+@pytest.mark.parametrize("gens, multiplicity, order, counts", MARGIN_SWEEP,
+                         ids=["_".join(map(str, gens)) for gens, _, _, _ in MARGIN_SWEEP])
+def test_window_counts_never_rise_with_the_margin(gens, multiplicity, order, counts):
+    # A table that extends to a larger window also extends to a smaller one,
+    # so the count at margin M + 1 is at most the count at margin M.  These
+    # are window counts, not counts of prime operations on the ring.
+    ring = Ring(from_generators(list(gens)), PrimeField(2))
+    assert ring.semigroup.multiplicity == multiplicity
+    got = [len(search_prime(ring, order, margin=margin).operations) for margin in range(2, 7)]
+    assert got == counts
+    assert all(a >= b for a, b in zip(got, got[1:]))

@@ -1,10 +1,12 @@
 import random
 import sys
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
 
 from semiprime_lab.closures import (
+    ChainDomain,
     ClosureOperation,
     IdealSetDomain,
     builtin,
@@ -12,8 +14,16 @@ from semiprime_lab.closures import (
     ideal_window,
 )
 from semiprime_lab.errors import BudgetExceeded
-from semiprime_lab.ideals import Ring, enumerate_ideals, unit_ideal, zero_ideal
-from semiprime_lab.search import PRIME, SEMIPRIME, _Searcher, explain_pruning, search_prime
+from semiprime_lab.ideals import Ring, _proper, enumerate_ideals, unit_ideal, zero_ideal
+from semiprime_lab.linalg import rref
+from semiprime_lab.search import (
+    DEFAULT_BUDGET,
+    PRIME,
+    SEMIPRIME,
+    _Searcher,
+    explain_pruning,
+    search_prime,
+)
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
 
@@ -130,6 +140,27 @@ def test_budget_exceeded():
         search_prime(R345, 7, budget=20)
 
 
+def test_window_with_more_pairs_than_the_budget_is_refused_before_its_tables():
+    chain = ChainDomain(3000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="^search window of 6001 elements has 18009001 "
+                                                 "pairs, more than the budget of 5000000 nodes$"):
+            _Searcher(chain, SEMIPRIME, DEFAULT_BUDGET, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_window_with_as_many_pairs_as_the_budget_is_searched():
+    # ChainDomain(1) holds 3 elements and 6 unordered pairs
+    tables = _Searcher(ChainDomain(1), SEMIPRIME, 6, {}).run()
+    assert tables == _Searcher(ChainDomain(1), SEMIPRIME, DEFAULT_BUDGET, {}).run()
+    with pytest.raises(BudgetExceeded, match="3 elements has 6 pairs"):
+        _Searcher(ChainDomain(1), SEMIPRIME, 5, {})
+
+
 def test_unknown_mode_is_rejected():
     with pytest.raises(ValueError, match="mode must be prime or semiprime, got closure"):
         search_prime(R25, 4, "closure")
@@ -225,3 +256,30 @@ def test_searcher_matches_brute_force_on_small_windows(ring, max_order, seed):
             found = {frozenset(T.items()) for T in _Searcher(dom, mode, 10**6, {}).run()}
             assert found == brute_force_tables(dom, mode), (mode, [str(I) for I in dom.elements])
     assert prime_windows >= 4
+
+
+def scaled(I, lam):
+    """The image of I under the ring automorphism t -> lam*t: the coefficient
+    at exponent n + j is multiplied by lam^(n + j), and the rows are reduced
+    again."""
+    if not I.is_proper():
+        return I
+    p = I.ring.field.p
+    rows = [[v * pow(lam, I.order + j, p) % p for j, v in enumerate(row)] for row in I.window]
+    return _proper(I.ring, I.order, rref(rows, p)[0])
+
+
+def test_prime_operations_are_closed_under_scaling_t():
+    # t -> lam*t preserves orders, containment, products and principal
+    # ideals, so it conjugates the set of operations found into itself.  The
+    # counts are pinned too: an empty or shrunken set is closed as well.
+    p = 3
+    R = Ring(from_generators([2, 5]), PrimeField(p))
+    found = {frozenset(op.table.items()) for op in search_prime(R, 5, margin=1).operations}
+    orbits = set()
+    for T in found:
+        orbit = frozenset(frozenset((scaled(I, lam), scaled(v, lam)) for I, v in T)
+                          for lam in range(1, p))
+        assert orbit <= found
+        orbits.add(orbit)
+    assert (len(found), len(orbits)) == (16, 12)

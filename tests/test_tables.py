@@ -1,9 +1,11 @@
 """The search's window tables: the product without a closure pass, the
-containment rows with their value-set prefilter, the extension window
-that reuses the smaller window's instances and memos, the principal test
-read off the pivots, and the re-verification of an exact table."""
+containment rows with their value-set prefilter, the index of in-window
+product instances, the extension window that reuses the smaller window's
+instances and memos, the principal test read off the pivots, and the
+re-verification of an exact table."""
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -152,7 +154,34 @@ TINY_SEARCHES = [
 
 def table_view(searcher):
     return (searcher.variables, searcher.supersets, searcher.subsets,
-            searcher.pairs_by_product, searcher.factor_pairs, searcher.principal_list)
+            searcher.instances, searcher.principal_list)
+
+
+@pytest.mark.parametrize("gens, p, max_order, margin, mode", TINY_SEARCHES,
+                         ids=["2_5_f2", "2_7_f2", "3_4_5_f2", "dvr_semiprime"])
+def test_each_product_instance_is_listed_once_under_each_element_it_names(
+        gens, p, max_order, margin, mode):
+    domain = ideal_window(ring(gens, p), max_order)
+    stats = {}
+    searcher = _Searcher(domain, mode, 10**6, stats)
+    elements = domain.elements
+    window = set(elements)
+    expected = {X: Counter() for X in elements}
+    skipped = 0
+    for i, A in enumerate(elements):
+        for B in elements[i:]:
+            P = product_oracle(A, B)
+            if P not in window:
+                skipped += 1
+                continue
+            for X in elements:
+                if X in (A, B, P):
+                    expected[X][(A, B, P)] += 1
+    assert searcher.instances.keys() == expected.keys()
+    for X in elements:
+        assert Counter(searcher.instances[X]) == expected[X], X
+    assert stats["skipped_product_instances"] == skipped
+    assert any(len(expected[X]) for X in elements)
 
 
 @pytest.mark.parametrize("gens, p, max_order, margin, mode", TINY_SEARCHES,
