@@ -134,7 +134,7 @@ def unit_ideal(ring: Ring) -> IdealCanon:
 
 def _proper(ring: Ring, order: int, window) -> IdealCanon:
     c = ring.conductor
-    if c > 0:
+    if c > 0:  # with c = 0 there is no window to check
         if not window or not window[0][0]:
             raise ValueError("window must witness the defining order")
         S = ring.semigroup
@@ -195,8 +195,6 @@ def ideal_from_generators(ring: Ring, gens) -> IdealCanon:
     n = min(m for _, m in nonzero)
     if n == 0:
         return unit_ideal(ring)
-    if c == 0:
-        return _proper(ring, n, ())
     vectors = []
     for f, m in nonzero:
         if m >= n + c:
@@ -238,8 +236,6 @@ def product(I: IdealCanon, J: IdealCanon) -> IdealCanon:
     ring = I.ring
     n = I.order + J.order
     c = ring.conductor
-    if c == 0:
-        return _proper(ring, n, ())
     p = ring.field.p
     # I and J are shift-closed, so t^g.ab = (t^g.a)b already lies in the span
     # of the row products: one row reduction, no closure pass.
@@ -258,8 +254,6 @@ def ideal_sum(I: IdealCanon, J: IdealCanon) -> IdealCanon:
     ring = I.ring
     c = ring.conductor
     n = min(I.order, J.order)
-    if c == 0:
-        return _proper(ring, n, ())
     vecs = []
     for K in (I, J):
         d = K.order - n
@@ -301,10 +295,10 @@ def intersect(I: IdealCanon, J: IdealCanon) -> IdealCanon:
         return I
     ring = I.ring
     c = ring.conductor
-    if c == 0:
-        return _proper(ring, max(I.order, J.order), ())
-    p = ring.field.p
     lo = max(I.order, J.order)
+    if c == 0:  # the frame [lo, lo + 2c) is empty, so it has no pivot to read
+        return _proper(ring, lo, ())
+    p = ring.field.p
     hi = lo + 2 * c  # the intersection contains t^(lo+c)K[[t]], so this frame suffices
     A = _frame_rows(I, lo, hi)
     B = _frame_rows(J, lo, hi)
@@ -334,8 +328,6 @@ def _contains(I: IdealCanon, J: IdealCanon, piv=None) -> bool:
     if J.order < I.order:
         return False
     c = I.ring.conductor
-    if c == 0:
-        return True
     p = I.ring.field.p
     d = J.order - I.order
     if piv is None:
@@ -371,8 +363,6 @@ def element_in_ideal(f: TruncatedSeries, I: IdealCanon) -> bool:
     if m < n:
         return False
     c = I.ring.conductor
-    if c == 0:
-        return True
     if m >= n + c:
         return True
     if f.bound < n + c:
@@ -396,8 +386,6 @@ def min_generators(I: IdealCanon) -> int:
     if not I.is_proper():
         raise NotProper(f"min_generators needs a proper ideal, got {I.kind}")
     ring = I.ring
-    if ring.conductor == 0:
-        return 1
     mI = product(maximal_ideal(ring), I)
     # On the frame [n, n + g1 + c): dim I = rows(I) + g1, dim mI = rows(mI).
     return len(I.window) + ring.semigroup.multiplicity - len(mI.window)
@@ -423,8 +411,6 @@ def integral_closure_ideal(I: IdealCanon) -> IdealCanon:
         raise NotProper(f"integral closure needs a proper ideal, got {I.kind}")
     ring = I.ring
     c = ring.conductor
-    if c == 0:
-        return I
     n = I.order
     rows = []
     for j in range(c):
@@ -447,19 +433,25 @@ def enumerate_ideals(ring: Ring, max_order: int, budget: int = 2_000_000) -> lis
     c = ring.conductor
     S = ring.semigroup
     p = ring.field.p
-    out = [unit_ideal(ring)]
-    orders = [n for n in range(1, max_order + 1) if S.contains(n)]
-    if c == 0:
-        out.extend(_proper(ring, n, ()) for n in orders)
-        return out
-    allowed = {n: [j for j in range(c) if S.contains(n + j)] for n in orders}
-    # cost estimate before enumerating anything
-    total = sum(_rref_count(len(cols), p) for cols in allowed.values())
+
+    def allowed(n):
+        return [j for j in range(c) if S.contains(n + j)]
+
+    # cost estimate before any per-order list: every order >= c lies in S
+    # and allows all c columns, so those orders share one count
+    total = sum(_rref_count(len(allowed(n)), p)
+                for n in range(1, min(c, max_order + 1)) if S.contains(n))
+    total += max(0, max_order + 1 - max(c, 1)) * _rref_count(c, p)
     if total > budget:
         raise InfeasibleEnumeration(f"{total} candidate matrices exceed budget {budget}")
+    out = [unit_ideal(ring)]
+    orders = [n for n in range(1, max_order + 1) if S.contains(n)]
+    if c == 0:  # the only window is (), which has no pivot 0 to grow from
+        out.extend(_proper(ring, n, ()) for n in orders)
+        return out
     shifts = [g for g in S.generators if g < c]
     for n in orders:
-        found = [_proper(ring, n, w) for w in _shift_closed_windows(allowed[n], shifts, c, p)]
+        found = [_proper(ring, n, w) for w in _shift_closed_windows(allowed(n), shifts, c, p)]
         found.sort(key=canonical_key)
         out.extend(found)
     return out

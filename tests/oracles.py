@@ -8,8 +8,9 @@ closure-operation axioms checked by separate hand-written loops, reference
 series arithmetic (product and unit inversion in K[[t]]), the
 three-branch ideal sort key, the enumerator that forms every RREF matrix
 whole, the ideal product that closes the row products under the
-generator shifts until nothing new appears, and the cubic covering scan
-for Hasse diagrams.  The last one uses
+generator shifts until nothing new appears, the ideal sum reduced on one
+common frame, the intersection by brute-force membership of every frame
+vector, and the cubic covering scan for Hasse diagrams.  The last one uses
 the package's ``contains`` and node labels, so it checks the covering
 logic and the DOT text, not containment itself.
 """
@@ -449,6 +450,69 @@ def product_oracle(I, J):
         if closed == rows:
             return IdealCanon(ring, "proper", n, rows)
         rows = closed
+
+
+def sum_oracle(I, J):
+    """Canonical form of I + J on the common frame [n, n + c), n the smaller
+    order: every window row of either ideal moved onto the frame (its
+    exponents kept, the part past the frame cut off), then reduced by
+    ``rref_oracle``.  No shift-closure pass is made."""
+    ring = I.ring
+    if I.kind == "unit" or J.kind == "unit":
+        return IdealCanon(ring, "unit", 0, ())
+    if I.kind == "zero":
+        return J
+    if J.kind == "zero":
+        return I
+    c, p = ring.conductor, ring.field.p
+    n = min(I.order, J.order)
+    vectors = [((0,) * (K.order - n) + r)[:c] for K in (I, J) for r in K.window]
+    return IdealCanon(ring, "proper", n, rref_oracle(vectors, c, p))
+
+
+@cache
+def _window_span(I):
+    """Every vector of the span of a proper ideal's window: each F_p
+    combination of its rows."""
+    c, p = I.ring.conductor, I.ring.field.p
+    out = set()
+    for coeffs in iproduct(range(p), repeat=len(I.window)):
+        out.add(tuple(sum(a * r[j] for a, r in zip(coeffs, I.window)) % p for j in range(c)))
+    return frozenset(out)
+
+
+@cache
+def _frame_members(I, lo):
+    """The vectors v of F_p^c such that the series with coefficients v on
+    [lo, lo + c), and any tail of order >= lo + c, lies in the proper ideal
+    I (order <= lo): each vector of F_p^c is tested."""
+    c, p = I.ring.conductor, I.ring.field.p
+    d = lo - I.order
+    return frozenset(v for v in iproduct(range(p), repeat=c)
+                     if ((0,) * d + v)[:c] in _window_span(I))
+
+
+def intersect_oracle(I, J):
+    """Canonical form of the intersection of I and J by brute-force
+    membership, for small p: every vector of F_p^c on the frame
+    [lo, lo + c), lo the larger order, is tested for membership in both
+    ideals.  Both contain every series of order >= lo + c, so the common
+    members fix the order n and, moved to start at n and completed by the
+    unit vectors of the columns past lo + c, the window."""
+    ring = I.ring
+    if I.kind == "zero" or J.kind == "zero":
+        return IdealCanon(ring, "zero", None, ())
+    if I.kind == "unit":
+        return J
+    if J.kind == "unit":
+        return I
+    c, p = ring.conductor, ring.field.p
+    lo = max(I.order, J.order)
+    common = [v for v in _frame_members(I, lo) & _frame_members(J, lo) if any(v)]
+    k = min((next(j for j, x in enumerate(v) if x) for v in common), default=c)
+    vectors = [v[k:] + (0,) * k for v in common]
+    vectors += [tuple(int(j == i) for j in range(c)) for i in range(c - k, c)]
+    return IdealCanon(ring, "proper", lo + k, rref_oracle(vectors, c, p))
 
 
 def value_set_oracle(I, top):

@@ -45,6 +45,20 @@ def test_oversized_enumeration_keeps_its_guard_line(capsys):
     assert err == "InfeasibleEnumeration: 1455580435096 candidate matrices exceed budget 2000000\n"
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("ideals", "enumerate", "--gens", "2,5", "--p", "2", "--max-order", "100000000"),
+     "InfeasibleEnumeration: 5099999858 candidate matrices exceed budget 2000000"),
+    (("ideals", "enumerate", "--gens", "1", "--p", "2", "--max-order", "3000000", "--json"),
+     "InfeasibleEnumeration: 3000000 candidate matrices exceed budget 2000000"),
+    (("demo-fractional", "--dvr", "--D", "20000", "--candidate", "identity"),
+     "BudgetExceeded: search window of 40001 elements has 800060001 pairs, "
+     "more than the budget of 5000000 nodes"),
+], ids=["enumerate_2_5", "enumerate_dvr", "demo_fractional_identity"])
+def test_oversized_window_ends_with_one_line(capsys, argv, line):
+    # each is refused before its per-order lists or its all-pairs loop
+    assert run(capsys, *argv) == (1, "", line + "\n")
+
+
 def test_canon_text_output(capsys):
     code, out, _ = run(capsys, "canon", "--gens", "2,5", "--p", "2",
                        "--elem", "t^4+t^5+t^6+t^7")
@@ -279,6 +293,7 @@ def test_search_stats_pinned(capsys, argv, count, stats):
     ("search --gens 2,5 --p 2 --max-order 4", "abc"),
     ("demo-fractional --gens 2,5 --s 1+t^2 --D 3 --candidate identity", None),
     ("demo-fractional --dvr --D 0 --candidate identity", None),
+    ("demo-fractional --dvr --D 100001 --candidate identity", None),
     ("verify --op dvr_f_m --gens 1 --p 2 --max-order 3", None),
     ("demo-fractional --dvr --p 0 --D 3 --candidate identity", None),
     ("ideals classify --gens 2,5 --p 2", None),

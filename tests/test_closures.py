@@ -17,7 +17,7 @@ from semiprime_lab.ideals import (
     zero_ideal,
 )
 from semiprime_lab.semigroup import from_generators
-from semiprime_lab.series import PrimeField
+from semiprime_lab.series import MAX_EXPONENT, PrimeField
 
 from oracles import series_mul
 
@@ -234,6 +234,13 @@ def test_fractional_chain_validation():
     ChainDomain(3, R25.parse("t^2"))
     with pytest.raises(ValueError):
         ChainDomain(3, R25.parse("1+t^2"))
+
+
+def test_chain_half_width_is_bounded_by_the_exponent_limit():
+    assert ChainDomain(MAX_EXPONENT).D == MAX_EXPONENT
+    for D in (0, MAX_EXPONENT + 1):
+        with pytest.raises(ValueError, match=f"^chain half-width must be within 1..{MAX_EXPONENT}, got {D}$"):
+            ChainDomain(D)
 
 
 def test_bounded_candidate_witness_matches_proof_pattern():

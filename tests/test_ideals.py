@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product as iproduct
 
 import pytest
 
 from semiprime_lab.errors import (
+    InfeasibleEnumeration,
     InsufficientPrecision,
     NotInRing,
     NotProper,
@@ -462,6 +464,44 @@ def test_enumerate_budget():
         enumerate_ideals(Ring(from_generators([2, 5]), PrimeField(97)), 8)
 
 
+def _matrix_count_per_order(ring, max_order):
+    """The guard's total, order by order: the RREF matrices on each order's
+    allowed columns (one, the empty matrix, when c = 0)."""
+    S, c, p = ring.semigroup, ring.conductor, ring.field.p
+    total = 0
+    for n in range(1, max_order + 1):
+        if S.contains(n):
+            allowed = [j for j in range(c) if S.contains(n + j)]
+            total += rref_count_oracle(allowed, p) if allowed else 1
+    return total
+
+
+@pytest.mark.parametrize("gens, p", [([1], 2), ([2, 5], 2), ([2, 7], 3), ([3, 4, 5], 2), ([3, 5, 7], 2)])
+def test_enumeration_guard_total_in_closed_form_matches_per_order_sum(gens, p):
+    ring = Ring(from_generators(gens), PrimeField(p))
+    for max_order in range(0, ring.conductor + 4):
+        total = _matrix_count_per_order(ring, max_order)
+        if total:
+            with pytest.raises(InfeasibleEnumeration,
+                               match=f"^{total} candidate matrices exceed budget {total - 1}$"):
+                enumerate_ideals(ring, max_order, budget=total - 1)
+        enumerate_ideals(ring, max_order, budget=total)
+
+
+@pytest.mark.parametrize("gens, max_order, total", [([2, 5], 10**8, 5_099_999_858), ([1], 3 * 10**6, 3_000_000)])
+def test_enumeration_past_the_budget_is_refused_before_any_per_order_list(gens, max_order, total):
+    ring = Ring(from_generators(gens), F2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleEnumeration,
+                           match=f"^{total} candidate matrices exceed budget 2000000$"):
+            enumerate_ideals(ring, max_order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 97])
 def test_rref_count_matches_pivot_walk(p):
     cases = [list(range(m)) for m in range(1, 13)] + [[0, 2, 3, 5, 8, 9], [0, 1, 4, 6]]
@@ -524,6 +564,27 @@ def test_dvr_ideals():
     assert min_generators(P2) == 1
     assert [I.order for I in enumerate_ideals(RDVR, 4)] == [0, 1, 2, 3, 4]
     assert classify_shape(P2).code() == "PRINCIPAL(2)"
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_dvr_membership_closure_and_generators_match_closed_forms(p):
+    # in K[[t]] the ideal (t^n) holds f iff ord f >= n, every ideal is
+    # integrally closed, and every proper ideal needs one generator
+    ring = Ring(from_generators([1]), PrimeField(p))
+    rng = random.Random(p)
+    series = [ring.parse("0")]
+    for m in range(9):
+        terms = [f"{rng.randrange(1, p)}t^{m}"]
+        terms += [f"{rng.randrange(p)}t^{e}" for e in range(m + 1, m + 4)]
+        series.append(ring.parse("+".join(terms)))
+    ideals = [I for I in enumerate_ideals(ring, 7) if I.is_proper()]
+    assert [I.order for I in ideals] == list(range(1, 8))
+    for I in ideals:
+        assert I == ideal(ring, f"t^{I.order}")
+        for f in series:
+            assert element_in_ideal(f, I) == (f.is_zero() or f.order() >= I.order)
+        assert integral_closure_ideal(I) == I
+        assert min_generators(I) == 1
 
 
 # ------------------------------------------------------ canonicalization fuzz

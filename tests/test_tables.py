@@ -1,8 +1,9 @@
-"""The search's window tables: the product without a closure pass, the
-containment rows with their value-set prefilter, the index of in-window
-product instances, the extension window that reuses the smaller window's
-instances and memos, the principal test read off the pivots, and the
-re-verification of an exact table."""
+"""The search's window tables: the product without a closure pass, the sum
+and the intersection against their oracles, the containment rows with
+their value-set prefilter, the index of in-window product instances, the
+extension window that reuses the smaller window's instances and memos, the
+principal test read off the pivots, and the re-verification of an exact
+table."""
 
 import sys
 from collections import Counter
@@ -17,6 +18,8 @@ from semiprime_lab.ideals import (
     contains,
     containment_rows,
     ideal_from_generators,
+    ideal_sum,
+    intersect,
     is_principal,
     min_generators,
     product,
@@ -27,7 +30,13 @@ from semiprime_lab.search import PRIME, SEMIPRIME, SearchResult, _Searcher, expl
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
 
-from oracles import check_axioms_oracle, product_oracle, value_set_oracle
+from oracles import (
+    check_axioms_oracle,
+    intersect_oracle,
+    product_oracle,
+    sum_oracle,
+    value_set_oracle,
+)
 
 
 def ring(gens, p):
@@ -56,6 +65,32 @@ def test_product_matches_closure_oracle_on_full_window(gens, p, max_order):
             expected = product_oracle(A, B)
             assert product(A, B) == expected, (A, B)
             assert product(B, A) == expected, (B, A)
+
+
+# smaller than PRODUCT_WINDOWS: the intersection oracle tests every frame vector
+LATTICE_WINDOWS = [
+    ((1,), 5, 5),
+    ((2, 5), 7, 4),
+    ((2, 5), 3, 7),
+    ((3, 4, 5), 3, 5),
+    ((4, 5, 6, 7), 2, 4),
+    ((2, 7), 2, 8),
+    ((3, 5, 7), 2, 6),
+    ((3, 4), 2, 7),
+]
+
+
+@pytest.mark.parametrize("gens, p, max_order", LATTICE_WINDOWS,
+                         ids=["_".join(map(str, g)) + f"_f{p}" for g, p, _ in LATTICE_WINDOWS])
+def test_sum_and_intersection_match_their_oracles_on_full_window(gens, p, max_order):
+    # every unordered pair, the unit and the zero ideal included; the sum
+    # oracle makes no shift-closure pass, so agreement also shows that the
+    # sum of two shift-closed windows needs none
+    elements = ideal_window(ring(gens, p), max_order).elements
+    for i, A in enumerate(elements):
+        for B in elements[i:]:
+            assert ideal_sum(A, B) == sum_oracle(A, B), (A, B)
+            assert intersect(A, B) == intersect_oracle(A, B), (A, B)
 
 
 def test_product_never_closes_under_shifts(monkeypatch):
