@@ -136,6 +136,9 @@ class IdealSetDomain:
         return self._rows
 
     def contains(self, a, b) -> bool:
+        """True iff a contains b.  A search builds the containment rows
+        first and reads them here; ``verify`` never builds them, so each
+        pair it asks about is tested once and kept in ``_cont``."""
         if self._rows is not None:
             i = self._index.get(a)
             j = self._index.get(b)

@@ -17,10 +17,6 @@ class FieldMismatch(SemigroupRingError):
     pass
 
 
-class NotAUnit(SemigroupRingError):
-    pass
-
-
 class NotInRing(SemigroupRingError):
     """A series has support outside the semigroup of the target ring."""
 

@@ -265,27 +265,18 @@ def ideal_sum(I: IdealCanon, J: IdealCanon) -> IdealCanon:
     return _proper(ring, n, rows)
 
 
-def _frame_rows(I: IdealCanon, lo: int, hi: int):
-    """Rows of I's elements of order >= lo, as vectors on exponents [lo, hi).
-
-    Assumes lo >= I.order and hi >= I.order + conductor.
-    """
-    ring = I.ring
-    p = ring.field.p
-    c = ring.conductor
-    base = I.order
-    width = hi - base
-    rows = [tuple(r) + (0,) * (width - c) for r in I.window]
-    for k in range(base + c, hi):
-        v = [0] * width
-        v[k - base] = 1
-        rows.append(tuple(v))
-    red, piv = rref(rows, p)
-    cut = lo - base
-    return [r[cut:] for r, pc in zip(red, piv) if pc >= cut]
+def _frame_rows(window, d, c):
+    """RREF rows, d exponents on, of an ideal with RREF window ``window``:
+    its window rows with pivot >= d, shifted left by d, then the unit rows
+    that its tail puts on the last min(d, c) columns (already in RREF)."""
+    rows = [r[d:] + (0,) * d for r in window if _pivot(r) >= d]
+    return rows + [(0,) * j + (1,) + (0,) * (c - 1 - j) for j in range(max(c - d, 0), c)]
 
 
 def intersect(I: IdealCanon, J: IdealCanon) -> IdealCanon:
+    """I and J both contain W = t^(lo+c)K[[t]], so (I∩J)/W is the
+    intersection of their frames on [lo, lo + c).  An intersection of ideals
+    is an ideal, so no closure pass follows."""
     _same_ring(I, J)
     if I.is_zero() or J.is_zero():
         return zero_ideal(I.ring)
@@ -296,18 +287,11 @@ def intersect(I: IdealCanon, J: IdealCanon) -> IdealCanon:
     ring = I.ring
     c = ring.conductor
     lo = max(I.order, J.order)
-    if c == 0:  # the frame [lo, lo + 2c) is empty, so it has no pivot to read
-        return _proper(ring, lo, ())
-    p = ring.field.p
-    hi = lo + 2 * c  # the intersection contains t^(lo+c)K[[t]], so this frame suffices
-    A = _frame_rows(I, lo, hi)
-    B = _frame_rows(J, lo, hi)
-    rows, piv = rowspaces_intersect(A, B, hi - lo, p)
-    off = piv[0]
-    n = lo + off
-    kept = [r[off : off + c] for r, pc in zip(rows, piv) if pc < off + c]
-    win, _ = _close_under_shifts(ring, kept)
-    return _proper(ring, n, win)
+    A = _frame_rows(I.window, lo - I.order, c)
+    B = _frame_rows(J.window, lo - J.order, c)
+    rows, piv = rowspaces_intersect(A, B, c, ring.field.p)
+    off = piv[0] if piv else c  # an empty frame intersection leaves I∩J = W
+    return _proper(ring, lo + off, _frame_rows(rows, off, c))
 
 
 def contains(I: IdealCanon, J: IdealCanon) -> bool:
@@ -446,9 +430,6 @@ def enumerate_ideals(ring: Ring, max_order: int, budget: int = 2_000_000) -> lis
         raise InfeasibleEnumeration(f"{total} candidate matrices exceed budget {budget}")
     out = [unit_ideal(ring)]
     orders = [n for n in range(1, max_order + 1) if S.contains(n)]
-    if c == 0:  # the only window is (), which has no pivot 0 to grow from
-        out.extend(_proper(ring, n, ()) for n in orders)
-        return out
     shifts = [g for g in S.generators if g < c]
     for n in orders:
         found = [_proper(ring, n, w) for w in _shift_closed_windows(allowed(n), shifts, c, p)]
@@ -459,7 +440,7 @@ def enumerate_ideals(ring: Ring, max_order: int, budget: int = 2_000_000) -> lis
 
 def _shift_closed_windows(allowed, shifts, c, p):
     """Every RREF window with pivot 0, support in ``allowed``, whose span is
-    closed under the ``shifts``.
+    closed under the ``shifts``; with c = 0 the one window is ``()``.
 
     The shift of the row with pivot q vanishes on every pivot column <= q,
     so it lies in the span iff it is the combination of the rows with
@@ -474,6 +455,9 @@ def _shift_closed_windows(allowed, shifts, c, p):
     pivots: list[int] = []
 
     def grow(top):
+        if top == 0:
+            windows.append(tuple(reversed(rows)))
+            return
         for q in allowed:
             if q >= top:
                 break
@@ -491,10 +475,7 @@ def _shift_closed_windows(allowed, shifts, c, p):
                     continue
                 rows.append(row)
                 pivots.append(q)
-                if q == 0:
-                    windows.append(tuple(reversed(rows)))
-                else:
-                    grow(q)
+                grow(q)
                 rows.pop()
                 pivots.pop()
 

@@ -57,7 +57,8 @@ def in_rowspace(vec, rows, pivots, p) -> bool:
 
 
 def rowspaces_intersect(rows_a, rows_b, width, p):
-    """Intersection of two row spaces (Zassenhaus block trick)."""
+    """RREF of the intersection of two row spaces of ``width``-wide rows,
+    read off one 2*width-wide Zassenhaus block."""
     big = [list(r) + list(r) for r in rows_a]
     big += [list(r) + [0] * width for r in rows_b]
     red, piv = rref(big, p)

@@ -18,12 +18,16 @@ logic and the DOT text, not containment itself.
 from functools import cache
 from itertools import combinations, product as iproduct
 
-from semiprime_lab.errors import FieldMismatch, NotAUnit, RingMismatch
+from semiprime_lab.errors import FieldMismatch, RingMismatch, SemigroupRingError
 from semiprime_lab.ideals import IdealCanon, _node_id, contains, ideal_label
 from semiprime_lab.series import TruncatedSeries
 
 # Bound of a series product when one factor is exactly zero (order +infinity).
 MAX_BOUND = 1 << 14
+
+
+class NotAUnit(SemigroupRingError):
+    """``series_invert_unit`` was given a series of positive order."""
 
 
 def vec_add(u, v, p):

@@ -29,6 +29,10 @@ with its outcome at a 200,000-node budget:
 
 The margin sweep below pins the window counts of ``<2,5>``, ``<3,4>`` and
 ``<3,4,5>`` at margins 2 to 6, next to each ring's multiplicity.
+
+On the DVR ``<1>`` the semiprime search at order N returns exactly the
+restrictions of the collapse maps f_m and g_m, 0 <= m <= N: 2N + 2 tables,
+f_N being the identity on the window.
 """
 
 import hashlib
@@ -37,8 +41,9 @@ import json
 import pytest
 
 from semiprime_lab.cli import main
+from semiprime_lab.closures import builtin, ideal_window
 from semiprime_lab.ideals import Ring
-from semiprime_lab.search import search_prime
+from semiprime_lab.search import SEMIPRIME, search_prime
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
 
@@ -87,3 +92,21 @@ def test_window_counts_never_rise_with_the_margin(gens, multiplicity, order, cou
     got = [len(search_prime(ring, order, margin=margin).operations) for margin in range(2, 7)]
     assert got == counts
     assert all(a >= b for a, b in zip(got, got[1:]))
+
+
+# (order N, search nodes); the node count is the same at every margin
+DVR_SEMIPRIME = [(3, 31), (4, 51), (5, 78), (6, 113), (7, 157)]
+
+
+@pytest.mark.parametrize("order, nodes", DVR_SEMIPRIME, ids=[f"N{n}" for n, _ in DVR_SEMIPRIME])
+@pytest.mark.parametrize("margin", [0, 2, 4])
+def test_dvr_semiprime_operations_are_the_collapse_maps(order, nodes, margin):
+    ring = Ring(from_generators([1]), PrimeField(2))
+    elements = ideal_window(ring, order).elements
+    expected = {tuple(builtin(name, ring, m)(I) for I in elements)
+                for name in ("dvr_f_m", "dvr_g_m") for m in range(order + 1)}
+    result = search_prime(ring, order, mode=SEMIPRIME, margin=margin)
+    got = [tuple(op.table[I] for I in elements) for op in result.operations]
+    assert len(got) == len(set(got)) == len(expected) == 2 * order + 2
+    assert set(got) == expected
+    assert result.stats["nodes"] == nodes

@@ -109,6 +109,11 @@ def test_product_never_closes_under_shifts(monkeypatch):
     assert callers == []
     search_prime(ring([2, 7], 2), 8, margin=2)
     assert "product" not in callers
+    # an intersection of ideals is an ideal: read on one frame, never closed
+    for i, A in enumerate(elements):
+        for B in elements[i:]:
+            intersect(A, B)
+    assert "intersect" not in callers
 
 
 CONTAINMENT_WINDOWS = [((2, 5), 3, 7), ((3, 4, 5), 2, 7), ((2, 7), 2, 9), ((4, 5, 6, 7), 2, 5), ((1,), 2, 4)]

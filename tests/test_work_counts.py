@@ -1,0 +1,88 @@
+"""Work counts of three anchor commands, pinned.
+
+Wall time on a shared machine swings by tens of percent between runs; the
+number of times each layer's functions run does not.  Each anchor runs
+in-process through ``cli.main``, with these functions wrapped from outside
+at every place they are looked up (``closures`` imports the ideal
+arithmetic under its own names, ``cli`` imports ``classify_shape``):
+``rref``, ``in_rowspace``, ``_contains``, ``product``, ``ideal_sum``,
+``intersect``, ``_close_under_shifts`` and ``classify_shape``.  A search
+anchor also pins ``stats["nodes"]``.
+
+The anchors are the first members of the benchmark's ``search-tables`` and
+``search-branching`` families and the ``verify`` member of its
+``lattice-verify`` family.  A change that moves any count moves it on
+purpose and says old -> new.
+"""
+
+from collections import Counter
+
+import pytest
+
+from semiprime_lab import cli, closures, ideals, linalg
+
+# (module, attribute looked up there, counter)
+WRAPPED = [
+    (linalg, "rref", "rref"),
+    (ideals, "rref", "rref"),
+    (ideals, "in_rowspace", "in_rowspace"),
+    (ideals, "_contains", "_contains"),
+    (ideals, "product", "product"),
+    (closures, "ideal_product", "product"),
+    (ideals, "ideal_sum", "ideal_sum"),
+    (closures, "ideal_sum", "ideal_sum"),
+    (ideals, "intersect", "intersect"),
+    (closures, "ideal_intersect", "intersect"),
+    (ideals, "_close_under_shifts", "_close_under_shifts"),
+    (ideals, "classify_shape", "classify_shape"),
+    (cli, "classify_shape", "classify_shape"),
+]
+
+ANCHORS = {
+    "search_2_7": (
+        "search --gens 2,7 --p 2 --max-order 12 --margin 4", 0,
+        {"rref": 3250, "in_rowspace": 9059, "_contains": 4910, "product": 3258, "ideal_sum": 0,
+         "intersect": 0, "_close_under_shifts": 115, "classify_shape": 115, "nodes": 188},
+    ),
+    "search_3_4_5": (
+        "search --gens 3,4,5 --p 3 --max-order 7 --margin 2", 0,
+        {"rref": 2982, "in_rowspace": 5300, "_contains": 4570, "product": 2753, "ideal_sum": 0,
+         "intersect": 0, "_close_under_shifts": 540, "classify_shape": 540, "nodes": 48755},
+    ),
+    "verify_integral_closure": (
+        "verify --op integral_closure --gens 2,7 --p 2 --max-order 12", 0,
+        {"rref": 21428, "in_rowspace": 53029, "_contains": 7684, "product": 6903,
+         "ideal_sum": 6903, "intersect": 66, "_close_under_shifts": 9336,
+         "classify_shape": 2666},
+    ),
+}
+
+
+def counting(counts, name, real):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("anchor", list(ANCHORS))
+def test_anchor_work_counts(monkeypatch, capsys, anchor):
+    argv, code, expected = ANCHORS[anchor]
+    counts = Counter({name: 0 for _, _, name in WRAPPED})
+    for module, attr, name in WRAPPED:
+        monkeypatch.setattr(module, attr, counting(counts, name, getattr(module, attr)))
+    # a maximal ideal cached by an earlier test would hide its construction
+    monkeypatch.setattr(ideals, "_MAXIMAL_CACHE", {})
+    results = []
+    real_search = cli.search_prime
+
+    def recording_search(*args, **kwargs):
+        results.append(real_search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "search_prime", recording_search)
+    assert cli.main(argv.split()) == code
+    capsys.readouterr()
+    if results:
+        counts["nodes"] = results[0].stats["nodes"]
+    assert dict(counts) == expected
