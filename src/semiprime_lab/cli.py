@@ -11,6 +11,7 @@ from .closures import (
     ChainDomain,
     builtin,
     check_axioms,
+    check_pairs,
     fractional_violation,
     ideal_window,
 )
@@ -160,6 +161,7 @@ def cmd_ideals(args) -> int:
 def cmd_lattice(args) -> int:
     ring = _ring(args)
     ideals = enumerate_ideals(ring, args.max_order)
+    check_pairs(len(ideals), _budget(args), "lattice")
     dot = hasse_diagram(ideals)
     if args.out:
         try:
@@ -176,6 +178,7 @@ def cmd_verify(args) -> int:
     ring = _ring(args)
     op = builtin(args.op, ring, m=args.m)
     domain = ideal_window(ring, args.max_order, args.include_zero)
+    check_pairs(len(domain.elements), _budget(args), "verify window")
     report = check_axioms(op, domain, args.axioms)
     _emit(report.to_json(domain))
     if args.expect_pass and not report.passed():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
-from .errors import DomainGap, PreconditionNotMet, WrongRing
+from .errors import BudgetExceeded, DomainGap, PreconditionNotMet, WrongRing
 from .ideals import (
     IdealCanon,
     Ring,
@@ -193,6 +193,17 @@ def ideal_window(ring: Ring, max_order: int, include_zero: bool = True,
     if include_zero:
         ideals.append(zero_ideal(ring))
     return IdealSetDomain(ideals, base)
+
+
+def check_pairs(n: int, budget: int, what: str = "search window", stats=None) -> None:
+    """Refuse a set of ``n`` elements whose n(n+1)/2 unordered pairs exceed
+    the node budget, before anything with an entry per pair is built: the
+    containment rows, a search's tables, or the pair axioms of
+    ``check_axioms``."""
+    pairs = n * (n + 1) // 2
+    if pairs > budget:
+        raise BudgetExceeded(f"{what} of {n} elements has {pairs} pairs, "
+                             f"more than the budget of {budget} nodes", stats)
 
 
 class ChainDomain:

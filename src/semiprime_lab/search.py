@@ -11,7 +11,8 @@ idempotence is built into the branching.  Product instances are checked as
 soon as both factors and the product are assigned; instances whose product
 leaves the window are counted as skipped, and a final full axiom check
 re-verifies every surviving table.  Survivors must additionally extend to
-the window enlarged by the margin, which removes boundary artifacts.
+the window enlarged by the margin, which removes boundary artifacts; the
+identity always does, so a window with no other table is searched once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .closures import ChainDomain, ClosureOperation, check_axioms, ideal_window
+from .closures import ChainDomain, ClosureOperation, check_axioms, check_pairs, ideal_window
 from .ideals import Ring, _bits
 
 DEFAULT_BUDGET = 5_000_000
@@ -43,12 +44,7 @@ class _Searcher:
 
     def __init__(self, domain, mode: str, budget: int, stats: dict):
         elts = domain.elements
-        n = len(elts)
-        pairs = n * (n + 1) // 2
-        if pairs > budget:
-            # the tables below hold an entry per pair: refuse before forming any
-            raise BudgetExceeded(f"search window of {n} elements has {pairs} pairs, "
-                                 f"more than the budget of {budget} nodes", stats)
+        check_pairs(len(elts), budget, stats=stats)
         self.domain = domain
         self.mode = mode
         self.budget = budget
@@ -207,8 +203,9 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
     ``base`` (the smaller one gets None), whose instances and memos it
     reuses.  It is built only after the first search has finished, so a run
     stopped by the budget there never pays for enumerating it.  With margin
-    0 the larger window is the same window, so every table survives and no
-    second search is run.
+    0 the larger window is the same window, and when the only table is the
+    identity it extends to every window; in both cases every table survives
+    and no second search is run.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -219,7 +216,9 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
     stats["window_candidates"] = len(small_tables)
     survivors = small_tables
     big_stats: dict = {}
-    if margin:
+    # the identity passes every axiom on every window, so the larger search
+    # would find it and keep it: with no other candidate there is no search
+    if margin and any(k != v for T in small_tables for k, v in T.items()):
         big_tables = _Searcher(window(size + margin, small_domain), mode, budget, big_stats).run()
         small_set = set(small_domain.elements)
         restrictions = set()

@@ -12,7 +12,9 @@ generator shifts until nothing new appears, the ideal sum reduced on one
 common frame, the intersection by brute-force membership of every frame
 vector, and the cubic covering scan for Hasse diagrams.  The last one uses
 the package's ``contains`` and node labels, so it checks the covering
-logic and the DOT text, not containment itself.
+logic and the DOT text, not containment itself.  Likewise the two-pass
+extension search runs the package's own searcher on both windows, so it
+checks when the second search may be skipped, not the searcher.
 """
 
 from functools import cache
@@ -570,3 +572,21 @@ def hasse_diagram_oracle(ideals):
                 lines.append(f"  {_node_id(A)} -> {_node_id(B)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def two_pass_survivors_oracle(window, size, margin, mode, budget=10**6):
+    """The tables on ``window(size)`` that are restrictions of tables on
+    ``window(size + margin)``, found by searching both windows every time,
+    even when the smaller one holds only the identity: the survivors as a
+    set of frozen tables, and the number of tables on the smaller window."""
+    from semiprime_lab.search import _Searcher
+
+    small = window(size)
+    tables = _Searcher(small, mode, budget, {}).run()
+    keep = set(small.elements)
+    restrictions = set()
+    for T in _Searcher(window(size + margin), mode, budget, {}).run():
+        R = frozenset((k, v) for k, v in T.items() if k in keep)
+        if all(v in keep for _, v in R):
+            restrictions.add(R)
+    return {frozenset(T.items()) for T in tables} & restrictions, len(tables)

@@ -53,9 +53,16 @@ def test_oversized_enumeration_keeps_its_guard_line(capsys):
     (("demo-fractional", "--dvr", "--D", "20000", "--candidate", "identity"),
      "BudgetExceeded: search window of 40001 elements has 800060001 pairs, "
      "more than the budget of 5000000 nodes"),
-], ids=["enumerate_2_5", "enumerate_dvr", "demo_fractional_identity"])
+    (("lattice", "--gens", "1", "--p", "2", "--max-order", "100000"),
+     "BudgetExceeded: lattice of 100001 elements has 5000150001 pairs, "
+     "more than the budget of 5000000 nodes"),
+    (("verify", "--op", "identity", "--gens", "1", "--p", "2", "--max-order", "20000"),
+     "BudgetExceeded: verify window of 20002 elements has 200050003 pairs, "
+     "more than the budget of 5000000 nodes"),
+], ids=["enumerate_2_5", "enumerate_dvr", "demo_fractional_identity", "lattice", "verify"])
 def test_oversized_window_ends_with_one_line(capsys, argv, line):
-    # each is refused before its per-order lists or its all-pairs loop
+    # each is refused before its per-order lists, its all-pairs loop, its
+    # containment rows or its pair axioms
     assert run(capsys, *argv) == (1, "", line + "\n")
 
 
@@ -106,6 +113,23 @@ def test_lattice_out_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
     assert out == ""
     assert err == f"semiprime-lab: error: cannot write --out {target}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv, elements", [
+    ("lattice --gens 2,5 --p 2 --max-order 6", 25),
+    ("verify --op identity --gens 2,5 --p 2 --max-order 6", 26),
+], ids=["lattice", "verify"])
+def test_window_with_as_many_pairs_as_the_budget_is_served(capsys, monkeypatch, argv,
+                                                            elements):
+    pairs = elements * (elements + 1) // 2
+    monkeypatch.setenv("SEMIPRIME_LAB_BUDGET", str(pairs))
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "") and out
+    monkeypatch.setenv("SEMIPRIME_LAB_BUDGET", str(pairs - 1))
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.endswith(f"of {elements} elements has {pairs} pairs, "
+                        f"more than the budget of {pairs - 1} nodes\n")
 
 
 def test_verify_fc_345(capsys):
@@ -279,9 +303,14 @@ def test_budget_env_override(capsys, monkeypatch):
     ("search --gens 2,5 --p 2 --max-order 8 --margin 2", 1,
      {"nodes": 64, "window_candidates": 1, "extension_discarded": 0,
       "skipped_product_instances": 644}),
+    ("search --gens 2,9 --p 2 --max-order 12 --margin 4", 1,
+     {"nodes": 1172, "window_candidates": 1, "extension_discarded": 0,
+      "skipped_product_instances": 15469}),
 ])
 def test_search_stats_pinned(capsys, argv, count, stats):
-    # node counts depend on the seeds and the branching order
+    # node counts depend on the seeds and the branching order.  The <2,9>
+    # window holds only the identity, so its order-16 extension window,
+    # which the enumeration guard would refuse, is never built.
     payload = run_json(capsys, *argv.split())
     assert payload["operation_count"] == count
     assert payload["stats"] == stats
@@ -337,7 +366,11 @@ def test_negative_margin_is_rejected(capsys):
     ("search --gens 2,7 --p 2 --max-order 12 --margin 0 --explain",
      "daede36b6687bbbb0ac9b3c30faa144eef529f44598300ccc4b23003e79ccda5",
      "b321d0e443a1266d04f1ff6197465bb2bfa44265349ec656da9681e2322c7f7b"),
-], ids=["fc_345", "dvr_semiprime", "2_5_f3", "2_5_f3_margin0", "2_7_f2_margin0"])
+    ("search --gens 2,7 --p 2 --max-order 12 --margin 4 --explain",
+     "0393fe28c170e9ea8d31e6fb871625ab033c22f4a922e1935bd83f812785e5da",
+     "b321d0e443a1266d04f1ff6197465bb2bfa44265349ec656da9681e2322c7f7b"),
+], ids=["fc_345", "dvr_semiprime", "2_5_f3", "2_5_f3_margin0", "2_7_f2_margin0",
+        "2_7_f2_margin4"])
 def test_search_explain_pinned(capsys, argv, out_digest, err_digest):
     # prune counts and the order of the first eliminations are pinned
     code, out, err = run(capsys, *argv.split())

@@ -22,14 +22,17 @@ from semiprime_lab.search import (
     SEMIPRIME,
     _Searcher,
     explain_pruning,
+    search_fractional_chain,
     search_prime,
 )
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
 
-from oracles import chain_closure_tables_oracle, check_axioms_oracle
+from oracles import chain_closure_tables_oracle, check_axioms_oracle, two_pass_survivors_oracle
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
+R23 = Ring(from_generators([2, 3]), F2)
 R25 = Ring(from_generators([2, 5]), F2)
 R27 = Ring(from_generators([2, 7]), F2)
 R345 = Ring(from_generators([3, 4, 5]), F2)
@@ -180,7 +183,8 @@ def test_explain_pruning_trivial_space():
     assert "nodes explored" in text
 
 
-def test_margin_zero_searches_its_window_once(monkeypatch):
+def counting_runs(monkeypatch):
+    """The window sizes of the searches run from now on, in order."""
     calls = []
     real = _Searcher.run
 
@@ -189,12 +193,77 @@ def test_margin_zero_searches_its_window_once(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(_Searcher, "run", counting)
+    return calls
+
+
+def test_margin_zero_searches_its_window_once(monkeypatch):
+    calls = counting_runs(monkeypatch)
     res = search_prime(R27, 12, margin=0)
     assert len(calls) == 1
     assert res.is_identity_only()
     assert res.stats["nodes"] == 188
     assert res.stats["extension_nodes"] == 0
     assert res.stats["extension_discarded"] == 0
+
+
+def test_identity_only_window_is_searched_once(monkeypatch):
+    # the identity extends to every window, so the margin has nothing to check
+    calls = counting_runs(monkeypatch)
+    res = search_prime(R27, 12, margin=4)
+    assert calls == [len(ideal_window(R27, 12).elements)]
+    assert res.is_identity_only()
+    assert res.stats["nodes"] == 188
+    assert res.stats["window_candidates"] == 1
+    assert res.stats["extension_nodes"] == 0
+    assert res.stats["extension_discarded"] == 0
+
+
+def test_window_with_other_candidates_still_searches_the_larger_window(monkeypatch):
+    calls = counting_runs(monkeypatch)
+    res = search_prime(R345, 7, margin=1)
+    assert calls == [len(ideal_window(R345, n).elements) for n in (7, 8)]
+    assert res.stats["window_candidates"] == 88
+    assert res.stats["extension_nodes"] > 0
+    assert res.stats["extension_discarded"] == 85
+
+
+@pytest.mark.parametrize("margin", [1, 2, 3, 4])
+@pytest.mark.parametrize("ring, size, mode, identity_only", [
+    (R23, 4, PRIME, False),
+    (R23, 6, PRIME, True),
+    (Ring(from_generators([2, 3]), F3), 4, PRIME, False),
+    (Ring(from_generators([2, 3]), F3), 6, PRIME, True),
+    (R25, 5, PRIME, False),
+    (R25, 7, PRIME, True),
+    (Ring(from_generators([2, 5]), F3), 5, PRIME, False),
+    (Ring(from_generators([2, 5]), F3), 7, PRIME, True),
+    (R27, 6, PRIME, False),
+    (R27, 10, PRIME, True),
+    (Ring(from_generators([2, 7]), F3), 2, PRIME, False),
+    (RDVR, 6, PRIME, True),
+    (RDVR, 6, SEMIPRIME, False),
+    (R23, 3, SEMIPRIME, False),
+], ids=["2_3_f2_4", "2_3_f2_6", "2_3_f3_4", "2_3_f3_6", "2_5_f2_5", "2_5_f2_7", "2_5_f3_5",
+        "2_5_f3_7", "2_7_f2_6", "2_7_f2_10", "2_7_f3_2", "dvr_prime", "dvr_semiprime",
+        "2_3_semiprime"])
+def test_survivors_match_the_two_pass_search(ring, size, mode, identity_only, margin):
+    expected, candidates = two_pass_survivors_oracle(lambda n: ideal_window(ring, n), size,
+                                                     margin, mode)
+    res = search_prime(ring, size, mode, margin)
+    assert {frozenset(op.table.items()) for op in res.operations} == expected
+    assert res.stats["window_candidates"] == candidates
+    assert (candidates == 1) == identity_only
+    assert (res.stats["extension_nodes"] == 0) == identity_only
+
+
+@pytest.mark.parametrize("margin", [1, 2, 3, 4])
+@pytest.mark.parametrize("D", [3, 4, 5, 6])
+def test_chain_survivors_match_the_two_pass_search(D, margin):
+    expected, candidates = two_pass_survivors_oracle(ChainDomain, D, margin, SEMIPRIME)
+    res = search_fractional_chain(D, margin)
+    assert {frozenset(op.table.items()) for op in res.operations} == expected
+    assert res.is_identity_only() and candidates == 1
+    assert res.stats["extension_nodes"] == 0
 
 
 def stack_depth():

@@ -41,7 +41,7 @@ WRAPPED = [
 ANCHORS = {
     "search_2_7": (
         "search --gens 2,7 --p 2 --max-order 12 --margin 4", 0,
-        {"rref": 3250, "in_rowspace": 9059, "_contains": 4910, "product": 3258, "ideal_sum": 0,
+        {"rref": 1060, "in_rowspace": 3843, "_contains": 1841, "product": 948, "ideal_sum": 0,
          "intersect": 0, "_close_under_shifts": 115, "classify_shape": 115, "nodes": 188},
     ),
     "search_3_4_5": (
