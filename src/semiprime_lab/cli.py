@@ -50,7 +50,7 @@ def _axiom_set(text: str) -> list[int]:
             continue
         lo, hi = part.split("-", 1) if "-" in part else (part, part)
         lo, hi = int(lo), int(hi)
-        if not (1 <= lo <= 8 and 1 <= hi <= 8):  # checked before the range is built
+        if not 1 <= lo <= hi <= 8:  # checked before the range is built
             raise bad
         out.update(range(lo, hi + 1))
     if not out:
@@ -191,11 +191,10 @@ def cmd_search(args) -> int:
     result = search_prime(ring, args.max_order, args.mode, args.margin, _budget(args))
     ops_payload = []
     for op in result.operations:
-        entries = [
-            {"input": ideal_label(k), "output": ideal_label(v)}
-            for k, v in sorted(op.table.items(), key=lambda kv: ideal_label(kv[0]))
-            if k != v
-        ]
+        entries = sorted(
+            ({"input": ideal_label(k), "output": ideal_label(v)}
+             for k, v in op.table.items() if k != v),
+            key=lambda e: e["input"])
         ops_payload.append(
             {
                 "name": op.name,
@@ -318,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["prime", "semiprime"], default="prime")
     p.add_argument("--margin", type=int, default=2)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="emit JSON (the only format; default)")
     p.add_argument("--explain", action="store_true")
     p.add_argument("--expect-identity-only", action="store_true")
     p.set_defaults(func=cmd_search)

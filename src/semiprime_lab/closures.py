@@ -60,17 +60,9 @@ def _pair(a, b):
 
 
 class IdealSetDomain:
-    """A finite set of canonical ideals of one ring, with cached arithmetic.
+    """A finite set of canonical ideals of one ring, with cached arithmetic."""
 
-    A domain built with ``base`` (a smaller window of the same ring) takes
-    over the base's instance of every ideal the two share, and shares its
-    memos, so no product, sum or intersection the base formed is formed
-    again.
-    """
-
-    def __init__(self, ideals, base: "IdealSetDomain | None" = None):
-        if base is not None:
-            ideals = [base._own(I) or I for I in ideals]
+    def __init__(self, ideals):
         elements = sorted(set(ideals), key=canonical_key)
         if not elements:
             raise ValueError("empty ideal set")
@@ -83,11 +75,7 @@ class IdealSetDomain:
         self._top = max((I.order for I in elements if I.is_proper()), default=0)
         self._rows = None
         self._principals = None
-        if base is None:
-            self._prod, self._sum, self._meet, self._cont = {}, {}, {}, {}
-        else:
-            self._prod, self._sum, self._meet, self._cont = (
-                base._prod, base._sum, base._meet, base._cont)
+        self._prod, self._sum, self._meet, self._cont = {}, {}, {}, {}
 
     def _memo(self, memo, op, a, b):
         """op(a, b) for a symmetric op, computed once per unordered pair."""
@@ -109,16 +97,13 @@ class IdealSetDomain:
         if a.is_proper() and b.is_proper() and a.order + b.order > self._top:
             return None
         P = self.product(a, b)
-        own = self._own(P)
-        if own is not None and own is not P:
+        i = self._index.get(P)
+        if i is None:
+            return None
+        own = self.elements[i]
+        if own is not P:
             self._prod[_pair(a, b)] = own
         return own
-
-    def _own(self, I):
-        """The set's own instance of I, None if I is not in the set; later
-        dict probes with it then meet the element itself, not an equal copy."""
-        i = self._index.get(I)
-        return None if i is None else self.elements[i]
 
     def sum(self, a, b):
         return self._memo(self._sum, ideal_sum, a, b)
@@ -183,16 +168,14 @@ class IdealSetDomain:
         return (I.is_zero(), I.order, -len(I.window), I.window)
 
 
-def ideal_window(ring: Ring, max_order: int, include_zero: bool = True,
-                 base: IdealSetDomain | None = None) -> IdealSetDomain:
+def ideal_window(ring: Ring, max_order: int, include_zero: bool = True) -> IdealSetDomain:
     """The ideals of order <= ``max_order`` and the unit, plus the zero ideal
     unless ``include_zero`` is false: the window that searches and axiom
-    checks run on.  ``base``, a smaller window, lends its instances and
-    memos (see ``IdealSetDomain``)."""
+    checks run on."""
     ideals = enumerate_ideals(ring, max_order)
     if include_zero:
         ideals.append(zero_ideal(ring))
-    return IdealSetDomain(ideals, base)
+    return IdealSetDomain(ideals)
 
 
 def check_pairs(n: int, budget: int, what: str = "search window", stats=None) -> None:

@@ -199,18 +199,16 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
     """The tables on ``window(size)`` that are restrictions of tables on
     ``window(size + margin)``, each re-verified by ``check_axioms``.
 
-    ``window(n, base)`` builds a window; the larger one gets the smaller as
-    ``base`` (the smaller one gets None), whose instances and memos it
-    reuses.  It is built only after the first search has finished, so a run
-    stopped by the budget there never pays for enumerating it.  With margin
-    0 the larger window is the same window, and when the only table is the
-    identity it extends to every window; in both cases every table survives
-    and no second search is run.
+    ``window(n)`` builds a window.  The larger one is built only after the
+    first search has finished, so a run stopped by the budget there never
+    pays for enumerating it.  With margin 0 the larger window is the same
+    window, and when the only table is the identity it extends to every
+    window; in both cases every table survives and no second search is run.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
     stats: dict = {}
-    small_domain = window(size, None)
+    small_domain = window(size)
     small_tables = _Searcher(small_domain, mode, budget, stats).run()
     small_tables.sort(key=lambda T: _table_key(small_domain, T))
     stats["window_candidates"] = len(small_tables)
@@ -219,7 +217,7 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
     # the identity passes every axiom on every window, so the larger search
     # would find it and keep it: with no other candidate there is no search
     if margin and any(k != v for T in small_tables for k, v in T.items()):
-        big_tables = _Searcher(window(size + margin, small_domain), mode, budget, big_stats).run()
+        big_tables = _Searcher(window(size + margin), mode, budget, big_stats).run()
         small_set = set(small_domain.elements)
         restrictions = set()
         for T in big_tables:
@@ -247,8 +245,7 @@ def search_prime(ring: Ring, max_order: int, mode: str = PRIME, margin: int = 2,
     the margin; with ``mode`` SEMIPRIME, all semiprime operations instead."""
     if mode not in (PRIME, SEMIPRIME):
         raise ValueError(f"mode must be prime or semiprime, got {mode}")
-    return _extension_search(lambda n, base: ideal_window(ring, n, base=base),
-                             max_order, margin, mode, budget)
+    return _extension_search(lambda n: ideal_window(ring, n), max_order, margin, mode, budget)
 
 
 def search_fractional_chain(D: int, margin: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -258,7 +255,7 @@ def search_fractional_chain(D: int, margin: int, budget: int = DEFAULT_BUDGET) -
     Seeding f(R) = R loses nothing: axiom 4 at (R, R) puts f(R) inside R,
     and axiom 1 puts R inside f(R).
     """
-    return _extension_search(lambda n, base: ChainDomain(n), D, margin, SEMIPRIME, budget)
+    return _extension_search(ChainDomain, D, margin, SEMIPRIME, budget)
 
 
 def explain_pruning(result: SearchResult) -> str:

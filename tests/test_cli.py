@@ -165,6 +165,12 @@ def test_axiom_range_is_bounded_before_it_is_expanded():
     assert peak < 1_000_000
 
 
+def test_reversed_axiom_range_is_refused():
+    with pytest.raises(argparse.ArgumentTypeError, match="within 1..8"):
+        _axiom_set("1,5-2")
+    assert _axiom_set("2-2,1") == [1, 2]
+
+
 def test_verify_expect_pass_failure(capsys):
     code, out, _ = run(capsys, "verify", "--op", "integral_closure", "--gens", "2,5",
                        "--p", "2", "--max-order", "6", "--axioms", "5", "--expect-pass")

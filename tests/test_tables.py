@@ -1,7 +1,6 @@
 """The search's window tables: the product without a closure pass, the sum
 and the intersection against their oracles, the containment rows with
 their value-set prefilter, the index of in-window product instances, the
-extension window that reuses the smaller window's instances and memos, the
 principal test read off the pivots, and the re-verification of an exact
 table."""
 
@@ -26,7 +25,7 @@ from semiprime_lab.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from semiprime_lab.search import PRIME, SEMIPRIME, SearchResult, _Searcher, explain_pruning, search_prime
+from semiprime_lab.search import PRIME, SEMIPRIME, _Searcher, search_prime
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
 
@@ -192,11 +191,6 @@ TINY_SEARCHES = [
 ]
 
 
-def table_view(searcher):
-    return (searcher.variables, searcher.supersets, searcher.subsets,
-            searcher.instances, searcher.principal_list)
-
-
 @pytest.mark.parametrize("gens, p, max_order, margin, mode", TINY_SEARCHES,
                          ids=["2_5_f2", "2_7_f2", "3_4_5_f2", "dvr_semiprime"])
 def test_each_product_instance_is_listed_once_under_each_element_it_names(
@@ -222,61 +216,6 @@ def test_each_product_instance_is_listed_once_under_each_element_it_names(
         assert Counter(searcher.instances[X]) == expected[X], X
     assert stats["skipped_product_instances"] == skipped
     assert any(len(expected[X]) for X in elements)
-
-
-@pytest.mark.parametrize("gens, p, max_order, margin, mode", TINY_SEARCHES,
-                         ids=["2_5_f2", "2_7_f2", "3_4_5_f2", "dvr_semiprime"])
-def test_grown_window_searches_like_a_fresh_window(gens, p, max_order, margin, mode):
-    R = ring(gens, p)
-    small = ideal_window(R, max_order)
-    _Searcher(small, mode, 10**6, {}).run()
-    grown = ideal_window(R, max_order + margin, base=small)
-    fresh = ideal_window(R, max_order + margin)
-    assert grown.elements == fresh.elements
-    assert all(small._own(I) is I for I in grown.elements if small._own(I))
-    grown_stats, fresh_stats = {}, {}
-    on_grown = _Searcher(grown, mode, 10**6, grown_stats)
-    on_fresh = _Searcher(fresh, mode, 10**6, fresh_stats)
-    assert table_view(on_grown) == table_view(on_fresh)
-    assert on_grown.run() == on_fresh.run()
-    assert grown_stats == fresh_stats
-    assert grown_stats["nodes"] > 0
-    assert (explain_pruning(SearchResult([], grown_stats))
-            == explain_pruning(SearchResult([], fresh_stats)))
-
-
-def test_extension_window_forms_no_product_twice(monkeypatch):
-    # search --gens 2,7 --p 2 --max-order 8 --margin 2
-    formed = []
-    windows = []
-    real_product = closures.ideal_product
-    real_init = _Searcher.__init__
-
-    def recording_product(a, b):
-        formed.append((len(windows), a, b))
-        return real_product(a, b)
-
-    def recording_init(self, domain, *args):
-        windows.append(domain)
-        real_init(self, domain, *args)
-
-    monkeypatch.setattr(closures, "ideal_product", recording_product)
-    monkeypatch.setattr(_Searcher, "__init__", recording_init)
-    result = search_prime(ring([2, 7], 2), 8, margin=2)
-    assert result.is_identity_only()
-    assert len(windows) == 2
-    small_pairs = {(a, b) for w, a, b in formed if w == 1}
-    big_pairs = [(a, b) for w, a, b in formed if w == 2]
-    assert small_pairs and big_pairs
-    assert not small_pairs & set(big_pairs)
-    assert len(formed) == len({(a, b) for _, a, b in formed})
-    # the extension window's table needs every in-window product of the
-    # small window: they are read from the shared memo
-    small, big = windows
-    big_elements = set(big.elements)
-    assert all(a in big_elements and b in big_elements for a, b in small_pairs)
-    assert big._prod is small._prod
-
 
 
 @pytest.mark.parametrize("gens, p, max_order", PRODUCT_WINDOWS,

@@ -41,13 +41,13 @@ WRAPPED = [
 ANCHORS = {
     "search_2_7": (
         "search --gens 2,7 --p 2 --max-order 12 --margin 4", 0,
-        {"rref": 1060, "in_rowspace": 3843, "_contains": 1841, "product": 948, "ideal_sum": 0,
-         "intersect": 0, "_close_under_shifts": 115, "classify_shape": 115, "nodes": 188},
+        {"rref": 715, "in_rowspace": 3188, "_contains": 1841, "product": 948, "ideal_sum": 0,
+         "intersect": 0, "_close_under_shifts": 0, "classify_shape": 0, "nodes": 188},
     ),
     "search_3_4_5": (
         "search --gens 3,4,5 --p 3 --max-order 7 --margin 2", 0,
-        {"rref": 2982, "in_rowspace": 5300, "_contains": 4570, "product": 2753, "ideal_sum": 0,
-         "intersect": 0, "_close_under_shifts": 540, "classify_shape": 540, "nodes": 48755},
+        {"rref": 3389, "in_rowspace": 5300, "_contains": 4570, "product": 3713, "ideal_sum": 0,
+         "intersect": 0, "_close_under_shifts": 210, "classify_shape": 210, "nodes": 48755},
     ),
     "verify_integral_closure": (
         "verify --op integral_closure --gens 2,7 --p 2 --max-order 12", 0,
