@@ -72,8 +72,8 @@ class IdealSetDomain:
                 raise ValueError("all ideals must share one ring")
         self.elements = elements
         self._index = {I: i for i, I in enumerate(elements)}
-        self._top = max((I.order for I in elements if I.is_proper()), default=0)
         self._rows = None
+        self._table = None
         self._principals = None
         self._prod, self._sum, self._meet, self._cont = {}, {}, {}, {}
 
@@ -89,21 +89,35 @@ class IdealSetDomain:
     def product(self, a, b):
         return self._memo(self._prod, ideal_product, a, b)
 
+    def product_table(self):
+        """``table[i][j]``: the index of elements[i]*elements[j] in the set,
+        or -1 where the product leaves it; built on first use, forming each
+        unordered pair's product once.  Orders add, so a product of proper
+        ideals whose orders sum past the top order is never formed.  The
+        memo then keeps the set's own instance of each product, so a later
+        ``product`` of the same pair needs no deep comparison."""
+        if self._table is None:
+            elts, index = self.elements, self._index
+            n = len(elts)
+            top = max((I.order for I in elts if I.is_proper()), default=0)
+            table = [[-1] * n for _ in range(n)]
+            for i, A in enumerate(elts):
+                for j in range(i, n):
+                    B = elts[j]
+                    if A.is_proper() and B.is_proper() and A.order + B.order > top:
+                        continue
+                    k = index.get(self.product(A, B), -1)
+                    if k >= 0:
+                        self._prod[A, B] = elts[k]  # (A, B) is in key order: _pair's key
+                    table[i][j] = table[j][i] = k
+            self._table = table
+        return self._table
+
     def product_in(self, a, b):
-        """a*b if it lies in the set, else None.  Orders add, so a product of
-        proper ideals whose orders sum past the top order is never formed.
-        The memo then keeps the set's own instance of the product, so the
-        next lookup of the same pair needs no deep comparison."""
-        if a.is_proper() and b.is_proper() and a.order + b.order > self._top:
-            return None
-        P = self.product(a, b)
-        i = self._index.get(P)
-        if i is None:
-            return None
-        own = self.elements[i]
-        if own is not P:
-            self._prod[_pair(a, b)] = own
-        return own
+        """a*b if it lies in the set, else None, for two elements of the set:
+        read off the product table."""
+        k = self.product_table()[self._index[a]][self._index[b]]
+        return None if k < 0 else self.elements[k]
 
     def sum(self, a, b):
         return self._memo(self._sum, ideal_sum, a, b)
@@ -214,6 +228,12 @@ class ChainDomain:
     def product_in(self, a, b):
         r = a + b
         return r if -self.D <= r <= self.D else None
+
+    def product_table(self):
+        """``table[i][j]``: the index of elements[i] + elements[j], or -1
+        past either end of the chain."""
+        D, n = self.D, len(self.elements)
+        return [[k if 0 <= (k := i + j - D) < n else -1 for j in range(n)] for i in range(n)]
 
     def sum(self, a, b):
         return min(a, b)

@@ -413,7 +413,10 @@ def enumerate_ideals(ring: Ring, max_order: int, budget: int = 2_000_000) -> lis
     whole.  The ``InfeasibleEnumeration`` guard counts every RREF matrix on
     the allowed columns, in closed form (``_rref_count``); that overstates
     the work the pruned growth does, but fixes which windows are refused.
+    A negative ``max_order`` is refused with ``ValueError``.
     """
+    if max_order < 0:
+        raise ValueError(f"max_order must be >= 0, got {max_order}")
     c = ring.conductor
     S = ring.semigroup
     p = ring.field.p

@@ -9,10 +9,11 @@ f(b.I) = b.f(I) through a trail-based constraint queue.  A candidate
 value for f(I) is always an already-fixed superset of I (or I itself), so
 idempotence is built into the branching.  Product instances are checked as
 soon as both factors and the product are assigned; instances whose product
-leaves the window are counted as skipped, and a final full axiom check
-re-verifies every surviving table.  Survivors must additionally extend to
-the window enlarged by the margin, which removes boundary artifacts; the
-identity always does, so a window with no other table is searched once.
+leaves the window are counted as skipped.  Survivors must additionally
+extend to the window enlarged by the margin, which removes boundary
+artifacts; the identity always does, so a window with no other table is
+searched once.  Only the survivors become dict tables, and a full axiom
+check re-verifies each of them.
 """
 
 from __future__ import annotations
@@ -40,43 +41,54 @@ class SearchResult:
 
 class _Searcher:
     """Depth-first search for every table on ``domain`` that passes the
-    incremental axiom checks of ``mode``."""
+    incremental axiom checks of ``mode``.
+
+    The search runs on element ids, the indices into ``domain.elements``,
+    over the domain's containment rows and product table: a table is the
+    tuple whose entry i is the id of f(elements[i])."""
 
     def __init__(self, domain, mode: str, budget: int, stats: dict):
         elts = domain.elements
-        check_pairs(len(elts), budget, stats=stats)
+        n = len(elts)
+        check_pairs(n, budget, stats=stats)
         self.domain = domain
-        self.mode = mode
         self.budget = budget
         self.stats = stats
-        seeds = domain.search_seeds(mode == PRIME)
+        ids = {x: i for i, x in enumerate(elts)}
+        seeds = [ids[x] for x in domain.search_seeds(mode == PRIME)]
         fixed = set(seeds)
-        self.variables = sorted((x for x in elts if x not in fixed), key=domain.branch_key)
-        self.assign: dict = {}
+        self.variables = sorted((i for i in range(n) if i not in fixed),
+                                key=lambda i: domain.branch_key(elts[i]))
+        self.assign = [-1] * n
         self.trail: list = []
-        self.found: list[dict] = []
+        self.found: list[tuple] = []
         self.prunes = stats.setdefault("prunes", {})
         self.eliminations = stats.setdefault("eliminations", {})
-        # supersets/subsets, in element order, and the in-window product
-        # instances (A, B, A*B), each listed once under every element it names
-        self.subsets = {I: [elts[j] for j in _bits(row & ~(1 << i))]
-                        for i, (I, row) in enumerate(zip(elts, domain.containment()))}
-        self.supersets = {I: [] for I in elts}
-        for J in elts:
-            for I in self.subsets[J]:
-                self.supersets[I].append(J)
-        self.instances: dict = {I: [] for I in elts}
+        # rows[i] >> j & 1: elements[i] contains elements[j]; products[i][j]:
+        # the id of the product, -1 outside the window
+        self.rows = rows = domain.containment()
+        self.products = products = domain.product_table()
+        # supersets and subsets in id order, each id's own included (it is
+        # unassigned whenever they are read), and the in-window product
+        # instances (a, b, a*b), each listed once under every id it names
+        self.subsets = [list(_bits(row)) for row in rows]
+        self.supersets = [[] for _ in range(n)]
+        for j, below in enumerate(self.subsets):
+            for i in below:
+                self.supersets[i].append(j)
+        self.instances: list = [[] for _ in range(n)]
         skipped = 0
-        for i, A in enumerate(elts):
-            for B in elts[i:]:
-                P = domain.product_in(A, B)
-                if P is None:
+        for a in range(n):
+            row = products[a]
+            for b in range(a, n):
+                p = row[b]
+                if p < 0:
                     skipped += 1
                     continue
-                for X in {A, B, P}:
-                    self.instances[X].append((A, B, P))
+                for x in {a, b, p}:
+                    self.instances[x].append((a, b, p))
         stats["skipped_product_instances"] = stats.get("skipped_product_instances", 0) + skipped
-        self.principal_list = domain.principals() if mode == PRIME else []
+        self.principal_ids = [ids[b] for b in domain.principals()] if mode == PRIME else []
         for x in seeds:
             if not self._propagate(x, x):
                 raise AssertionError("inconsistent seeds")
@@ -86,73 +98,83 @@ class _Searcher:
         if self.stats["nodes"] > self.budget:
             raise BudgetExceeded(f"search exceeded {self.budget} nodes", self.stats)
 
-    def _prune(self, cause: str, var, val):
+    def _prune(self, cause: str, var: int, val: int):
+        """Count a prune; ids follow the domain's key order, so the id pair
+        sorts the eliminations as the element keys would."""
         self.prunes[cause] = self.prunes.get(cause, 0) + 1
-        key = (self.domain.key(var), self.domain.key(val))
+        key = (var, val)
         if key not in self.eliminations:
-            self.eliminations[key] = (var, val, cause)
+            elts = self.domain.elements
+            self.eliminations[key] = (elts[var], elts[val], cause)
 
-    def _propagate(self, x, v) -> bool:
+    def _holds_product(self, fA: int, fB: int, fP: int) -> bool:
+        """f(A)f(B) lies in f(A*B); a product outside the window is formed
+        and tested by the domain."""
+        q = self.products[fA][fB]
+        if q >= 0:
+            return self.rows[fP] >> q & 1 == 1
+        domain, elts = self.domain, self.domain.elements
+        return domain.contains(elts[fP], domain.product(elts[fA], elts[fB]))
+
+    def _propagate(self, x: int, v: int) -> bool:
         """Assign f(x) = v plus everything it forces; False on conflict."""
-        domain = self.domain
+        assign, rows, products = self.assign, self.rows, self.products
         queue = [(x, v)]
         while queue:
             a, w = queue.pop()
-            cur = self.assign.get(a)
-            if cur is not None:
+            cur = assign[a]
+            if cur >= 0:
                 if cur != w:
                     self._prune("scaling_conflict", a, w)
                     return False
                 continue
             self._tick()
             if w != a:
-                fw = self.assign.get(w)
-                if fw is None:
+                fw = assign[w]
+                if fw < 0:
                     queue.append((w, w))  # idempotence: the value must be fixed
                 elif fw != w:
                     self._prune("idempotence", a, w)
                     return False
             # monotonicity against everything already assigned
             for K in self.supersets[a]:
-                fK = self.assign.get(K)
-                if fK is not None and not domain.contains(fK, w):
+                fK = assign[K]
+                if fK >= 0 and not rows[fK] >> w & 1:
                     self._prune("monotone", a, w)
                     return False
+            row = rows[w]
             for K in self.subsets[a]:
-                fK = self.assign.get(K)
-                if fK is not None and not domain.contains(w, fK):
+                fK = assign[K]
+                if fK >= 0 and not row >> fK & 1:
                     self._prune("monotone", a, w)
                     return False
             # product instances that became fully assigned
             for (A, B, P) in self.instances[a]:
-                fA = w if A == a else self.assign.get(A)
-                fB = w if B == a else self.assign.get(B)
-                fP = w if P == a else self.assign.get(P)
-                if fA is not None and fB is not None and fP is not None:
-                    if not domain.contains(fP, domain.product(fA, fB)):
-                        self._prune("product", a, w)
-                        return False
-            self.assign[a] = w
+                fA = w if A == a else assign[A]
+                fB = w if B == a else assign[B]
+                fP = w if P == a else assign[P]
+                if fA >= 0 and fB >= 0 and fP >= 0 and not self._holds_product(fA, fB, fP):
+                    self._prune("product", a, w)
+                    return False
+            assign[a] = w
             self.trail.append(a)
-            if self.mode == PRIME:
-                for b in self.principal_list:
-                    q = domain.product_in(b, a)
-                    if q is not None:
-                        queue.append((q, domain.product(b, w)))
+            for b in self.principal_ids:
+                q = products[b][a]
+                if q >= 0:
+                    bw = products[b][w]
+                    if bw < 0:  # f(bI) = b.f(I) would leave the window
+                        self._prune("scaling_conflict", a, w)
+                        return False
+                    queue.append((q, bw))
         return True
 
     def _undo(self, mark: int):
         while len(self.trail) > mark:
-            del self.assign[self.trail.pop()]
+            self.assign[self.trail.pop()] = -1
 
-    def _candidates(self, X):
-        out = []
-        for J in self.domain.elements:
-            if J != X and not self.domain.contains(J, X):
-                continue
-            if J == X or self.assign.get(J) == J:
-                out.append(J)
-        return out
+    def _candidates(self, X: int):
+        assign = self.assign
+        return [J for J in self.supersets[X] if J == X or assign[J] == J]
 
     def run(self):
         """Depth-first over the variables in order.  The search keeps its own
@@ -163,7 +185,7 @@ class _Searcher:
         stack: list = []
         i = 0
         while i is not None:
-            while i < n and variables[i] in self.assign:
+            while i < n and self.assign[variables[i]] >= 0:
                 i += 1
             if i == n:
                 self._emit()
@@ -188,11 +210,12 @@ class _Searcher:
         return None
 
     def _emit(self):
-        self.found.append(dict(self.assign))
+        self.found.append(tuple(self.assign))
 
 
-def _table_key(domain, table):
-    return tuple(sorted((domain.key(k), domain.key(v)) for k, v in table.items()))
+def _as_table(elements, ids: tuple) -> dict:
+    """The dict table of an id tuple on ``elements``."""
+    return {x: elements[v] for x, v in zip(elements, ids)}
 
 
 def _extension_search(window, size: int, margin: int, mode: str, budget: int) -> SearchResult:
@@ -204,34 +227,42 @@ def _extension_search(window, size: int, margin: int, mode: str, budget: int) ->
     pays for enumerating it.  With margin 0 the larger window is the same
     window, and when the only table is the identity it extends to every
     window; in both cases every table survives and no second search is run.
+    Ids follow the domain's key order, so the sorted id tuples are the
+    tables in the order of their sorted (key, value-key) entries.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
     stats: dict = {}
     small_domain = window(size)
-    small_tables = _Searcher(small_domain, mode, budget, stats).run()
-    small_tables.sort(key=lambda T: _table_key(small_domain, T))
+    small = small_domain.elements
+    small_tables = sorted(_Searcher(small_domain, mode, budget, stats).run())
     stats["window_candidates"] = len(small_tables)
+    identity = tuple(range(len(small)))
     survivors = small_tables
     big_stats: dict = {}
     # the identity passes every axiom on every window, so the larger search
     # would find it and keep it: with no other candidate there is no search
-    if margin and any(k != v for T in small_tables for k, v in T.items()):
-        big_tables = _Searcher(window(size + margin), mode, budget, big_stats).run()
-        small_set = set(small_domain.elements)
+    if margin and any(T != identity for T in small_tables):
+        big_domain = window(size + margin)
+        big_tables = _Searcher(big_domain, mode, budget, big_stats).run()
+        # the small window's ids among the larger window's, -1 for the rest;
+        # both follow key order, so the kept ids run in small-id order
+        small_id = {x: i for i, x in enumerate(small)}
+        to_small = [small_id.get(x, -1) for x in big_domain.elements]
+        kept = [b for b, i in enumerate(to_small) if i >= 0]
         restrictions = set()
         for T in big_tables:
-            R = {k: v for k, v in T.items() if k in small_set}
-            if all(v in small_set for v in R.values()):
-                restrictions.add(_table_key(small_domain, R))
-        survivors = [T for T in small_tables if _table_key(small_domain, T) in restrictions]
+            R = tuple(to_small[T[b]] for b in kept)
+            if -1 not in R:
+                restrictions.add(R)
+        survivors = [T for T in small_tables if T in restrictions]
     stats["extension_nodes"] = big_stats.get("nodes", 0)
     stats["extension_discarded"] = len(small_tables) - len(survivors)
     ops = []
     axioms = (1, 2, 3, 4, 5) if mode == PRIME else (1, 2, 3, 4)
     for idx, T in enumerate(survivors):
-        name = "identity" if all(k == v for k, v in T.items()) else f"op_{idx:02d}"
-        op = ClosureOperation(name, "table", table=T)
+        name = "identity" if T == identity else f"op_{idx:02d}"
+        op = ClosureOperation(name, "table", table=_as_table(small, T))
         # cross-module re-verification: never trust the search's own bookkeeping
         if not check_axioms(op, small_domain, axioms).passed():
             raise AssertionError(f"search produced an inconsistent table {name}")

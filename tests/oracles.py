@@ -579,14 +579,24 @@ def two_pass_survivors_oracle(window, size, margin, mode, budget=10**6):
     ``window(size + margin)``, found by searching both windows every time,
     even when the smaller one holds only the identity: the survivors as a
     set of frozen tables, and the number of tables on the smaller window."""
-    from semiprime_lab.search import _Searcher
+    from semiprime_lab.search import _as_table, _Searcher
+
+    def tables(domain):
+        return [_as_table(domain.elements, T) for T in _Searcher(domain, mode, budget, {}).run()]
 
     small = window(size)
-    tables = _Searcher(small, mode, budget, {}).run()
+    small_tables = tables(small)
     keep = set(small.elements)
     restrictions = set()
-    for T in _Searcher(window(size + margin), mode, budget, {}).run():
+    for T in tables(window(size + margin)):
         R = frozenset((k, v) for k, v in T.items() if k in keep)
         if all(v in keep for _, v in R):
             restrictions.add(R)
-    return {frozenset(T.items()) for T in tables} & restrictions, len(tables)
+    return {frozenset(T.items()) for T in small_tables} & restrictions, len(small_tables)
+
+
+def table_key_oracle(domain, table):
+    """The sort key of a table on ``domain``: its entries as (key of input,
+    key of value) pairs, sorted.  Searches list their survivors in this
+    order, which fixes the ``op_NN`` names."""
+    return tuple(sorted((domain.key(k), domain.key(v)) for k, v in table.items()))

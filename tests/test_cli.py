@@ -336,6 +336,10 @@ def test_search_stats_pinned(capsys, argv, count, stats):
     ("demo-fractional --dvr --D 3 --candidate foo:x=1", None),
     ("demo-fractional --dvr --D 3 --candidate bounded:m=x", None),
     ("demo-fractional --dvr --D 3 --candidate bounded:foo", None),
+    ("ideals enumerate --gens 2,5 --p 2 --max-order -1", None),
+    ("lattice --gens 2,5 --p 2 --max-order -1", None),
+    ("verify --op identity --gens 2,5 --p 2 --max-order -2", None),
+    ("search --gens 2,5 --p 2 --max-order -3", None),
 ])
 def test_user_input_error_is_one_line(capsys, monkeypatch, argv, budget):
     if budget is not None:
@@ -346,6 +350,18 @@ def test_user_input_error_is_one_line(capsys, monkeypatch, argv, budget):
     assert len(err.splitlines()) == 1
     assert err.startswith("semiprime-lab: error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "ideals enumerate --gens 2,5 --p 2 --max-order 0",
+    "lattice --gens 2,5 --p 2 --max-order 0",
+    "verify --op identity --gens 2,5 --p 2 --max-order 0",
+    "search --gens 2,5 --p 2 --max-order 0",
+])
+def test_order_zero_is_valid(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0
+    assert out and err == ""
 
 
 def test_negative_margin_is_rejected(capsys):

@@ -5,14 +5,22 @@ import pytest
 
 from semiprime_lab.closures import ChainDomain, fractional_violation
 from semiprime_lab.errors import BudgetExceeded
-from semiprime_lab.search import DEFAULT_BUDGET, SEMIPRIME, _Searcher, search_fractional_chain
+from semiprime_lab.search import (
+    DEFAULT_BUDGET,
+    SEMIPRIME,
+    _as_table,
+    _Searcher,
+    search_fractional_chain,
+)
 
 from oracles import fractional_chain_tables_oracle
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
 def test_chain_window_tables_match_oracle(D):
-    found = _Searcher(ChainDomain(D), SEMIPRIME, DEFAULT_BUDGET, {}).run()
+    chain = ChainDomain(D)
+    found = [_as_table(chain.elements, T)
+             for T in _Searcher(chain, SEMIPRIME, DEFAULT_BUDGET, {}).run()]
     expected = fractional_chain_tables_oracle(D)
     assert len(found) == len(expected)
     assert {tuple(sorted(T.items())) for T in found} == {tuple(sorted(T.items())) for T in expected}

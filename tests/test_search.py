@@ -14,12 +14,20 @@ from semiprime_lab.closures import (
     ideal_window,
 )
 from semiprime_lab.errors import BudgetExceeded
-from semiprime_lab.ideals import Ring, _proper, enumerate_ideals, unit_ideal, zero_ideal
+from semiprime_lab.ideals import (
+    Ring,
+    _proper,
+    enumerate_ideals,
+    ideal_from_generators,
+    unit_ideal,
+    zero_ideal,
+)
 from semiprime_lab.linalg import rref
 from semiprime_lab.search import (
     DEFAULT_BUDGET,
     PRIME,
     SEMIPRIME,
+    _as_table,
     _Searcher,
     explain_pruning,
     search_fractional_chain,
@@ -28,7 +36,12 @@ from semiprime_lab.search import (
 from semiprime_lab.semigroup import from_generators
 from semiprime_lab.series import PrimeField
 
-from oracles import chain_closure_tables_oracle, check_axioms_oracle, two_pass_survivors_oracle
+from oracles import (
+    chain_closure_tables_oracle,
+    check_axioms_oracle,
+    table_key_oracle,
+    two_pass_survivors_oracle,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -266,6 +279,41 @@ def test_chain_survivors_match_the_two_pass_search(D, margin):
     assert res.stats["extension_nodes"] == 0
 
 
+@pytest.mark.parametrize("ring, size, mode, margin, count", [
+    (Ring(from_generators([3, 4]), F2), 7, PRIME, 0, 96),
+    (Ring(from_generators([2, 5]), F3), 5, PRIME, 1, 16),
+    (RDVR, 6, SEMIPRIME, 2, 14),
+    (R25, 4, SEMIPRIME, 0, 184),
+], ids=["3_4_f2", "2_5_f3", "dvr_semiprime", "2_5_f2_semiprime"])
+def test_survivors_come_in_table_key_order(ring, size, mode, margin, count):
+    # the op_NN names are positions in this order; the depth-first search
+    # finds the <2,5> semiprime tables in another order
+    res = search_prime(ring, size, mode, margin)
+    domain = ideal_window(ring, size)
+    keys = [table_key_oracle(domain, op.table) for op in res.operations]
+    assert len(keys) == count
+    assert keys == sorted(keys)
+    assert len(set(keys)) == count
+    identity = table_key_oracle(domain, {I: I for I in domain.elements})
+    assert [op.name for op in res.operations] == [
+        "identity" if key == identity else f"op_{i:02d}" for i, key in enumerate(keys)]
+
+
+def test_anchor_search_peak_memory():
+    # the window's 4,624 tables are id tuples, not dicts of ideals: the
+    # traced peak is about 6 MiB with them, and was 53 MiB with dicts
+    R = Ring(from_generators([3, 4, 5]), F3)
+    tracemalloc.start()
+    try:
+        res = search_prime(R, 7, margin=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.stats["window_candidates"] == 4624
+    assert len(res.operations) == 3
+    assert peak < 16 * 2**20
+
+
 def stack_depth():
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -322,9 +370,23 @@ def test_searcher_matches_brute_force_on_small_windows(ring, max_order, seed):
         modes = (PRIME, SEMIPRIME) if dom.principals() else (SEMIPRIME,)
         prime_windows += PRIME in modes
         for mode in modes:
-            found = {frozenset(T.items()) for T in _Searcher(dom, mode, 10**6, {}).run()}
+            found = {frozenset(_as_table(dom.elements, T).items())
+                     for T in _Searcher(dom, mode, 10**6, {}).run()}
             assert found == brute_force_tables(dom, mode), (mode, [str(I) for I in dom.elements])
     assert prime_windows >= 4
+
+
+def test_a_scaling_image_outside_a_sparse_window_is_a_conflict():
+    # b = (t^2) and I = (t^4, t^7) lie in the set, and so does bI = (t^6, t^9);
+    # f(I) = (t^2) would force f(bI) = b.f(I) = (t^4), which the set lacks
+    ideals = [unit_ideal(R25)] + [ideal_from_generators(R25, [R25.parse(g) for g in gens])
+                                  for gens in (["t^2"], ["t^4", "t^7"], ["t^6", "t^9"])]
+    dom = IdealSetDomain(ideals)
+    stats = {}
+    found = {frozenset(_as_table(dom.elements, T).items())
+             for T in _Searcher(dom, PRIME, 10**6, stats).run()}
+    assert found == brute_force_tables(dom, PRIME)
+    assert stats["prunes"] == {"monotone": 1, "scaling_conflict": 1}
 
 
 def scaled(I, lam):

@@ -1,8 +1,8 @@
-"""The search's window tables: the product without a closure pass, the sum
-and the intersection against their oracles, the containment rows with
-their value-set prefilter, the index of in-window product instances, the
-principal test read off the pivots, and the re-verification of an exact
-table."""
+"""The search's window tables: the product without a closure pass and the
+product table of element ids, the sum and the intersection against their
+oracles, the containment rows with their value-set prefilter, the index of
+in-window product instances, the principal test read off the pivots, and
+the re-verification of an exact table."""
 
 import sys
 from collections import Counter
@@ -10,7 +10,14 @@ from collections import Counter
 import pytest
 
 from semiprime_lab import closures, ideals as ideals_module
-from semiprime_lab.closures import AXIOMS, ClosureOperation, check_axioms, ideal_window
+from semiprime_lab.closures import (
+    AXIOMS,
+    ChainDomain,
+    ClosureOperation,
+    IdealSetDomain,
+    check_axioms,
+    ideal_window,
+)
 from semiprime_lab.ideals import (
     Ring,
     _value_set,
@@ -57,13 +64,35 @@ PRODUCT_WINDOWS = [
 @pytest.mark.parametrize("gens, p, max_order", PRODUCT_WINDOWS,
                          ids=["_".join(map(str, g)) + f"_f{p}" for g, p, _ in PRODUCT_WINDOWS])
 def test_product_matches_closure_oracle_on_full_window(gens, p, max_order):
-    # every pair of the window, the unit and the zero ideal included
-    elements = ideal_window(ring(gens, p), max_order).elements
+    # every pair of the window, the unit and the zero ideal included; the
+    # product tables of the window and of a sparse subset hold the index of
+    # the same product, and -1 exactly where it leaves the set
+    full = ideal_window(ring(gens, p), max_order)
+    sets = []
+    for domain in (full, IdealSetDomain(full.elements[::2])):
+        ids = {I: i for i, I in enumerate(domain.elements)}
+        sets.append((ids, domain.product_table()))
+    elements = full.elements
     for i, A in enumerate(elements):
         for B in elements[i:]:
             expected = product_oracle(A, B)
             assert product(A, B) == expected, (A, B)
             assert product(B, A) == expected, (B, A)
+            for ids, table in sets:
+                if A in ids and B in ids:
+                    k = ids.get(expected, -1)
+                    assert table[ids[A]][ids[B]] == table[ids[B]][ids[A]] == k, (A, B)
+
+
+def test_chain_product_table_adds_indices():
+    chain = ChainDomain(5)
+    elements = chain.elements
+    table = chain.product_table()
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            k = elements.index(a + b) if a + b in elements else -1
+            assert table[i][j] == k, (a, b)
+    assert table[0][0] == -1 and table[-1][-1] == -1
 
 
 # smaller than PRODUCT_WINDOWS: the intersection oracle tests every frame vector
@@ -199,23 +228,24 @@ def test_each_product_instance_is_listed_once_under_each_element_it_names(
     stats = {}
     searcher = _Searcher(domain, mode, 10**6, stats)
     elements = domain.elements
-    window = set(elements)
-    expected = {X: Counter() for X in elements}
+    ids = {I: i for i, I in enumerate(elements)}
+    expected = [Counter() for _ in elements]
     skipped = 0
     for i, A in enumerate(elements):
-        for B in elements[i:]:
-            P = product_oracle(A, B)
-            if P not in window:
+        for j in range(i, len(elements)):
+            P = product_oracle(A, elements[j])
+            if P not in ids:
                 skipped += 1
                 continue
-            for X in elements:
-                if X in (A, B, P):
-                    expected[X][(A, B, P)] += 1
-    assert searcher.instances.keys() == expected.keys()
-    for X in elements:
-        assert Counter(searcher.instances[X]) == expected[X], X
+            instance = (i, j, ids[P])
+            for x in range(len(elements)):
+                if x in instance:
+                    expected[x][instance] += 1
+    assert len(searcher.instances) == len(elements)
+    for x, X in enumerate(elements):
+        assert Counter(searcher.instances[x]) == expected[x], X
     assert stats["skipped_product_instances"] == skipped
-    assert any(len(expected[X]) for X in elements)
+    assert any(expected)
 
 
 @pytest.mark.parametrize("gens, p, max_order", PRODUCT_WINDOWS,

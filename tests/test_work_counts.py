@@ -6,8 +6,9 @@ in-process through ``cli.main``, with these functions wrapped from outside
 at every place they are looked up (``closures`` imports the ideal
 arithmetic under its own names, ``cli`` imports ``classify_shape``):
 ``rref``, ``in_rowspace``, ``_contains``, ``product``, ``ideal_sum``,
-``intersect``, ``_close_under_shifts`` and ``classify_shape``.  A search
-anchor also pins ``stats["nodes"]``.
+``intersect``, ``_close_under_shifts`` and ``classify_shape``, and the
+window probes ``IdealSetDomain.contains`` and ``IdealSetDomain.product_in``.
+A search anchor also pins ``stats["nodes"]``.
 
 The anchors are the first members of the benchmark's ``search-tables`` and
 ``search-branching`` families and the ``verify`` member of its
@@ -21,7 +22,7 @@ import pytest
 
 from semiprime_lab import cli, closures, ideals, linalg
 
-# (module, attribute looked up there, counter)
+# (module or class, attribute looked up there, counter)
 WRAPPED = [
     (linalg, "rref", "rref"),
     (ideals, "rref", "rref"),
@@ -36,24 +37,28 @@ WRAPPED = [
     (ideals, "_close_under_shifts", "_close_under_shifts"),
     (ideals, "classify_shape", "classify_shape"),
     (cli, "classify_shape", "classify_shape"),
+    (closures.IdealSetDomain, "contains", "contains"),
+    (closures.IdealSetDomain, "product_in", "product_in"),
 ]
 
 ANCHORS = {
     "search_2_7": (
         "search --gens 2,7 --p 2 --max-order 12 --margin 4", 0,
         {"rref": 715, "in_rowspace": 3188, "_contains": 1841, "product": 948, "ideal_sum": 0,
-         "intersect": 0, "_close_under_shifts": 0, "classify_shape": 0, "nodes": 188},
+         "intersect": 0, "_close_under_shifts": 0, "classify_shape": 0, "contains": 18483,
+         "product_in": 20943, "nodes": 188},
     ),
     "search_3_4_5": (
         "search --gens 3,4,5 --p 3 --max-order 7 --margin 2", 0,
         {"rref": 3389, "in_rowspace": 5300, "_contains": 4570, "product": 3713, "ideal_sum": 0,
-         "intersect": 0, "_close_under_shifts": 210, "classify_shape": 210, "nodes": 48755},
+         "intersect": 0, "_close_under_shifts": 210, "classify_shape": 210, "contains": 50682,
+         "product_in": 52752, "nodes": 48755},
     ),
     "verify_integral_closure": (
         "verify --op integral_closure --gens 2,7 --p 2 --max-order 12", 0,
         {"rref": 21428, "in_rowspace": 53029, "_contains": 7684, "product": 6903,
          "ideal_sum": 6903, "intersect": 66, "_close_under_shifts": 9336,
-         "classify_shape": 2666},
+         "classify_shape": 2666, "contains": 43992, "product_in": 0},
     ),
 }
 
