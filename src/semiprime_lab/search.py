@@ -13,7 +13,9 @@ leaves the window are counted as skipped.  Survivors must additionally
 extend to the window enlarged by the margin, which removes boundary
 artifacts; the identity always does, so a window with no other table is
 searched once.  Only the survivors become dict tables, and a full axiom
-check re-verifies each of them.
+check re-verifies each of them; it reads each table back as ids against
+the window's containment rows and product table, never the search's own
+assignment or instance lists.
 """
 
 from __future__ import annotations

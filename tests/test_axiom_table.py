@@ -1,6 +1,7 @@
 """The axiom table against the hand-written loops of ``check_axioms_oracle``."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from semiprime_lab.closures import (
     ChainDomain,
     ClosureOperation,
     IdealSetDomain,
+    _table_ids,
     builtin,
     check_axioms,
     ideal_window,
@@ -25,12 +27,14 @@ def ideal_domain(gens, p, max_order):
     return ring, ideal_window(ring, max_order)
 
 
-def random_tables(domain, rng, count, undefined=0.15):
-    """Seeded table operations with random values; about ``undefined`` of
-    the entries are left out, so instances that need them are skipped."""
+def random_tables(domain, rng, count, undefined=0.15, values=None):
+    """Seeded table operations with random values, drawn from ``values``
+    (the domain by default); about ``undefined`` of the entries are left
+    out, so instances that need them are skipped."""
     elts = domain.elements
+    values = values or elts
     for n in range(count):
-        table = {x: rng.choice(elts) for x in elts if rng.random() >= undefined}
+        table = {x: rng.choice(values) for x in elts if rng.random() >= undefined}
         yield ClosureOperation(f"random{n}", "table", table=table)
 
 
@@ -53,12 +57,29 @@ def cases():
     yield builtin("identity", R25), chain
     # no unit in the domain: axiom 7 counts one skipped instance
     yield builtin("identity", R25), IdealSetDomain([I for I in d25.elements if not I.is_unit()])
+    # a sparse set: products of values leave it, and axioms 4 and 5 form them
+    sparse = IdealSetDomain(d345.elements[::2])
+    for op in random_tables(sparse, rng, 40):
+        yield op, sparse
+    for domain in (d25, d345, ddvr, chain, sparse):
+        for op in random_tables(domain, rng, 10, undefined=0):
+            yield op, domain
+    # values outside the domain: these tables are checked through the spec path
+    beyond = [I for I in ideal_window(R25, 7).elements if I not in set(d25.elements)]
+    for op in random_tables(d25, rng, 10, values=d25.elements + beyond[:3]):
+        yield op, d25
 
 
 def test_axiom_table_matches_oracle():
     seen_witness = {ax: 0 for ax in ALL}
     seen_skip = {ax: 0 for ax in ALL}
+    on_ids = Counter()  # tables by path: True on ids, False through the spec
+    formed_cited = Counter()  # witnesses of id-path tables citing a formed product
     for op, domain in cases():
+        members = set(domain.elements)
+        id_path = _table_ids(op, {x: i for i, x in enumerate(domain.elements)}) is not None
+        if op.kind == "table":
+            on_ids[id_path] += 1
         report = check_axioms(op, domain, ALL)
         expected = check_axioms_oracle(op, domain, ALL)
         assert report.domain_size == len(domain.elements)
@@ -72,8 +93,12 @@ def test_axiom_table_matches_oracle():
             for w in res.witnesses:
                 assert w.axiom == ax
                 assert w.replay(), (op.name, ax, w.inputs)
+                if id_path and any(v not in members for v in w.values):
+                    formed_cited[ax] += 1
     assert all(seen_witness.values()), seen_witness
     assert all(seen_skip.values()), seen_skip
+    assert on_ids[True] and on_ids[False], on_ids
+    assert formed_cited[4] and formed_cited[5], formed_cited
 
 
 def test_unknown_axiom_is_rejected():

@@ -20,7 +20,10 @@ from collections import Counter
 
 import pytest
 
-from semiprime_lab import cli, closures, ideals, linalg
+from semiprime_lab import cli, closures, ideals, linalg, search
+from semiprime_lab.ideals import Ring
+from semiprime_lab.semigroup import from_generators
+from semiprime_lab.series import PrimeField
 
 # (module or class, attribute looked up there, counter)
 WRAPPED = [
@@ -45,14 +48,14 @@ ANCHORS = {
     "search_2_7": (
         "search --gens 2,7 --p 2 --max-order 12 --margin 4", 0,
         {"rref": 715, "in_rowspace": 3188, "_contains": 1841, "product": 948, "ideal_sum": 0,
-         "intersect": 0, "_close_under_shifts": 0, "classify_shape": 0, "contains": 18483,
-         "product_in": 20943, "nodes": 188},
+         "intersect": 0, "_close_under_shifts": 0, "classify_shape": 0, "contains": 0,
+         "product_in": 0, "nodes": 188},
     ),
     "search_3_4_5": (
         "search --gens 3,4,5 --p 3 --max-order 7 --margin 2", 0,
         {"rref": 3389, "in_rowspace": 5300, "_contains": 4570, "product": 3713, "ideal_sum": 0,
-         "intersect": 0, "_close_under_shifts": 210, "classify_shape": 210, "contains": 50682,
-         "product_in": 52752, "nodes": 48755},
+         "intersect": 0, "_close_under_shifts": 210, "classify_shape": 210, "contains": 0,
+         "product_in": 0, "nodes": 48755},
     ),
     "verify_integral_closure": (
         "verify --op integral_closure --gens 2,7 --p 2 --max-order 12", 0,
@@ -91,3 +94,39 @@ def test_anchor_work_counts(monkeypatch, capsys, anchor):
     if results:
         counts["nodes"] = results[0].stats["nodes"]
     assert dict(counts) == expected
+
+
+def test_table_recheck_reads_the_window_tables(monkeypatch):
+    """Re-checking the 96 tables of ``<3,4>/F_2`` at order 7, margin 0 probes
+    no window pair and runs no ``check`` of axioms 1-5: the tables are read
+    as ids against the window's containment rows and product table."""
+    counts = Counter()
+    rechecking = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += len(rechecking)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for attr in ("contains", "product_in"):
+        real = getattr(closures.IdealSetDomain, attr)
+        monkeypatch.setattr(closures.IdealSetDomain, attr, counted(attr, real))
+    for ax in range(1, 6):
+        spec = closures.AXIOMS[ax]
+        monkeypatch.setitem(closures.AXIOMS, ax,
+                            spec._replace(check=counted(f"check {ax}", spec.check)))
+    real_check = search.check_axioms
+
+    def recheck(*args):
+        counts["tables"] += 1
+        rechecking.append(True)
+        try:
+            return real_check(*args)
+        finally:
+            rechecking.pop()
+
+    monkeypatch.setattr(search, "check_axioms", recheck)
+    R34 = Ring(from_generators([3, 4]), PrimeField(2))
+    assert len(search.search_prime(R34, 7, margin=0).operations) == 96
+    assert dict(counts) == {"tables": 96}
