@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .closures import (
     ChainDomain,
@@ -190,9 +191,10 @@ def cmd_search(args) -> int:
     ring = _ring(args)
     result = search_prime(ring, args.max_order, args.mode, args.margin, _budget(args))
     ops_payload = []
+    label = cache(ideal_label)  # an ideal printed in many entries is labelled once
     for op in result.operations:
         entries = sorted(
-            ({"input": ideal_label(k), "output": ideal_label(v)}
+            ({"input": label(k), "output": label(v)}
              for k, v in op.table.items() if k != v),
             key=lambda e: e["input"])
         ops_payload.append(

@@ -92,22 +92,38 @@ class IdealSetDomain:
 
     def product_table(self):
         """``table[i][j]``: the index of elements[i]*elements[j] in the set,
-        or -1 where the product leaves it; built on first use, forming each
-        unordered pair's product once.  Orders add, so a product of proper
-        ideals whose orders sum past the top order is never formed.  The
-        memo then keeps the set's own instance of each product, so a later
-        ``product`` of the same pair needs no deep comparison."""
+        or -1 where the product leaves it; built on first use.  Orders add,
+        so a product of proper ideals whose orders sum past the top order is
+        never formed.  The window of a proper product depends only on the
+        factors' windows, so it is formed once per unordered pair of
+        windows, and every other pair with those windows is placed at the
+        element of order A.order + B.order with that window, if the set has
+        one.  The memo then keeps the set's own instance of each product, so
+        a later ``product`` of the same pair needs no deep comparison."""
         if self._table is None:
             elts, index = self.elements, self._index
             n = len(elts)
             top = max((I.order for I in elts if I.is_proper()), default=0)
             table = [[-1] * n for _ in range(n)]
+            # window ids; the proper elements by (order, window id); and the
+            # window id of each product formed, -1 for a window no element has
+            wid: dict = {}
+            w = [wid.setdefault(I.window, len(wid)) for I in elts]
+            at = {(I.order, w[i]): i for i, I in enumerate(elts) if I.is_proper()}
+            windows: dict = {}
             for i, A in enumerate(elts):
                 for j in range(i, n):
                     B = elts[j]
-                    if A.is_proper() and B.is_proper() and A.order + B.order > top:
+                    if not (A.is_proper() and B.is_proper()):
+                        k = index.get(self.product(A, B), -1)
+                    elif A.order + B.order > top:
                         continue
-                    k = index.get(self.product(A, B), -1)
+                    else:
+                        pair = (w[i], w[j]) if w[i] <= w[j] else (w[j], w[i])
+                        pw = windows.get(pair)
+                        if pw is None:
+                            pw = windows[pair] = wid.get(self.product(A, B).window, -1)
+                        k = at.get((A.order + B.order, pw), -1)
                     if k >= 0:
                         self._prod[A, B] = elts[k]  # (A, B) is in key order: _pair's key
                     table[i][j] = table[j][i] = k

@@ -5,11 +5,14 @@ window: an ideal window (``IdealSetDomain``) or a fractional chain
 The domain names the seeds every operation fixes (the unit; in prime mode
 also the zero and the principal ideals) and the order in which the other
 elements are branched on.  Prime mode then propagates the scaling law
-f(b.I) = b.f(I) through a trail-based constraint queue.  A candidate
-value for f(I) is always an already-fixed superset of I (or I itself), so
-idempotence is built into the branching.  Product instances are checked as
-soon as both factors and the product are assigned; instances whose product
-leaves the window are counted as skipped.  Survivors must additionally
+f(b.I) = b.f(I) through a trail-based constraint queue, over a list, made
+once, of each I's scalings b.I that stay in the window; they are read off
+the product table, which forms one product per pair of ideal windows
+(``IdealSetDomain.product_table``).  A candidate value for f(I) is always
+an already-fixed superset of I (or I itself), so idempotence is built into
+the branching.  Product instances are checked as soon as both factors and
+the product are assigned; instances whose product leaves the window are
+counted as skipped.  Survivors must additionally
 extend to the window enlarged by the margin, which removes boundary
 artifacts; the identity always does, so a window with no other table is
 searched once.  Only the survivors become dict tables, and a full axiom
@@ -90,7 +93,10 @@ class _Searcher:
                 for x in {a, b, p}:
                     self.instances[x].append((a, b, p))
         stats["skipped_product_instances"] = stats.get("skipped_product_instances", 0) + skipped
-        self.principal_ids = [ids[b] for b in domain.principals()] if mode == PRIME else []
+        # the scalings (b, b.a) of each a by a principal b with b.a in the window
+        principal_ids = [ids[b] for b in domain.principals()] if mode == PRIME else []
+        self.scalings = [[(b, products[b][a]) for b in principal_ids if products[b][a] >= 0]
+                         for a in range(n)]
         for x in seeds:
             if not self._propagate(x, x):
                 raise AssertionError("inconsistent seeds")
@@ -153,21 +159,23 @@ class _Searcher:
             # product instances that became fully assigned
             for (A, B, P) in self.instances[a]:
                 fA = w if A == a else assign[A]
+                if fA < 0:
+                    continue
                 fB = w if B == a else assign[B]
+                if fB < 0:
+                    continue
                 fP = w if P == a else assign[P]
-                if fA >= 0 and fB >= 0 and fP >= 0 and not self._holds_product(fA, fB, fP):
+                if fP >= 0 and not self._holds_product(fA, fB, fP):
                     self._prune("product", a, w)
                     return False
             assign[a] = w
             self.trail.append(a)
-            for b in self.principal_ids:
-                q = products[b][a]
-                if q >= 0:
-                    bw = products[b][w]
-                    if bw < 0:  # f(bI) = b.f(I) would leave the window
-                        self._prune("scaling_conflict", a, w)
-                        return False
-                    queue.append((q, bw))
+            for b, q in self.scalings[a]:
+                bw = products[b][w]
+                if bw < 0:  # f(bI) = b.f(I) would leave the window
+                    self._prune("scaling_conflict", a, w)
+                    return False
+                queue.append((q, bw))
         return True
 
     def _undo(self, mark: int):

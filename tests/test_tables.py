@@ -47,6 +47,16 @@ def ring(gens, p):
     return Ring(from_generators(gens), PrimeField(p))
 
 
+def window_ids(windows):
+    """Test ids ``gens_fp``; a ring and field met again also name the order."""
+    ids = []
+    for g, p, n in windows:
+        i = "_".join(map(str, g)) + f"_f{p}"
+        ids.append(f"{i}_n{n}" if i in ids else i)
+    return ids
+
+
+# the last two lie well past the conductor, where many pairs share a window
 PRODUCT_WINDOWS = [
     ((3, 4, 5), 3, 6),
     ((2, 5), 7, 5),
@@ -56,30 +66,72 @@ PRODUCT_WINDOWS = [
     ((3, 5, 7), 2, 7),
     ((3, 4), 2, 9),
     ((1,), 5, 5),
+    ((3, 4, 5), 2, 11),
+    ((2, 7), 2, 14),
 ]
 
 
-@pytest.mark.parametrize("gens, p, max_order", PRODUCT_WINDOWS,
-                         ids=["_".join(map(str, g)) + f"_f{p}" for g, p, _ in PRODUCT_WINDOWS])
+@pytest.mark.parametrize("gens, p, max_order", PRODUCT_WINDOWS, ids=window_ids(PRODUCT_WINDOWS))
 def test_product_matches_closure_oracle_on_full_window(gens, p, max_order):
     # every pair of the window, the unit and the zero ideal included; the
-    # product tables of the window and of a sparse subset hold the index of
-    # the same product, and -1 exactly where it leaves the set
+    # product tables of the window and of two sparse subsets hold the index
+    # of the same product, and -1 exactly where it leaves the set.  The
+    # subset [1::3] misses elements at orders it still holds, so a product
+    # whose window pair was formed for other factors can land on a missing
+    # element and must read -1 there.
     full = ideal_window(ring(gens, p), max_order)
     sets = []
-    for domain in (full, IdealSetDomain(full.elements[::2])):
+    for domain in (full, IdealSetDomain(full.elements[::2]), IdealSetDomain(full.elements[1::3])):
         ids = {I: i for i, I in enumerate(domain.elements)}
-        sets.append((ids, domain.product_table()))
+        top = max(I.order for I in domain.elements if I.is_proper())
+        sets.append((ids, domain.product_table(), top))
     elements = full.elements
+    missing = 0
     for i, A in enumerate(elements):
         for B in elements[i:]:
             expected = product_oracle(A, B)
             assert product(A, B) == expected, (A, B)
             assert product(B, A) == expected, (B, A)
-            for ids, table in sets:
+            for ids, table, top in sets:
                 if A in ids and B in ids:
                     k = ids.get(expected, -1)
                     assert table[ids[A]][ids[B]] == table[ids[B]][ids[A]] == k, (A, B)
+                    missing += k < 0 and expected.is_proper() and expected.order <= top
+    if max_order >= 2 * min(gens):  # some product of proper ideals stays in the window
+        assert missing > 0
+
+
+def test_product_table_forms_one_product_per_window_pair(monkeypatch):
+    """On ``<3,4,5>/F_2`` at order 14 the 134 elements have 11 windows.  The
+    table forms one product per unordered pair of windows whose orders can
+    sum to at most 14 (all 66 pairs), plus the 2*134 - 1 pairs with the unit
+    or the zero ideal; the other proper pairs are looked up."""
+    formed = []
+    real = closures.ideal_product
+
+    def recording(a, b):
+        formed.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(closures, "ideal_product", recording)
+    domain = ideal_window(ring([3, 4, 5], 2), 14)
+    table = domain.product_table()
+    elements = domain.elements
+    proper = [I for I in elements if I.is_proper()]
+    pairs = {frozenset((A.window, B.window)) for A in proper for B in proper
+             if A.order + B.order <= 14}
+    formed_proper = [frozenset((A.window, B.window)) for A, B in formed
+                     if A.is_proper() and B.is_proper()]
+    assert len(elements) == 134 and len({I.window for I in proper}) == 11
+    assert len(formed_proper) == len(set(formed_proper)) == len(pairs) == 66
+    assert set(formed_proper) == pairs
+    assert len(formed) == 66 + 2 * 134 - 1
+    # the lookups agree with forming every product
+    ids = {I: i for i, I in enumerate(elements)}
+    for i, A in enumerate(proper, 1):
+        for B in proper:
+            if A.order + B.order <= 14:
+                assert table[i][ids[B]] == ids[real(A, B)], (A, B)
 
 
 def test_chain_product_table_adds_indices():
@@ -246,8 +298,7 @@ def test_each_product_instance_is_listed_once_under_each_element_it_names(
     assert any(expected)
 
 
-@pytest.mark.parametrize("gens, p, max_order", PRODUCT_WINDOWS,
-                         ids=["_".join(map(str, g)) + f"_f{p}" for g, p, _ in PRODUCT_WINDOWS])
+@pytest.mark.parametrize("gens, p, max_order", PRODUCT_WINDOWS, ids=window_ids(PRODUCT_WINDOWS))
 def test_is_principal_matches_min_generators(gens, p, max_order):
     proper = [I for I in ideal_window(ring(gens, p), max_order).elements if I.is_proper()]
     for I in proper:

@@ -47,14 +47,14 @@ WRAPPED = [
 ANCHORS = {
     "search_2_7": (
         "search --gens 2,7 --p 2 --max-order 12 --margin 4", 0,
-        {"rref": 715, "in_rowspace": 3188, "_contains": 1841, "product": 948, "ideal_sum": 0,
+        {"rref": 120, "in_rowspace": 3188, "_contains": 1841, "product": 353, "ideal_sum": 0,
          "intersect": 0, "_close_under_shifts": 0, "classify_shape": 0, "contains": 0,
          "product_in": 0, "nodes": 188},
     ),
     "search_3_4_5": (
         "search --gens 3,4,5 --p 3 --max-order 7 --margin 2", 0,
-        {"rref": 3389, "in_rowspace": 5300, "_contains": 4570, "product": 3713, "ideal_sum": 0,
-         "intersect": 0, "_close_under_shifts": 210, "classify_shape": 210, "contains": 0,
+        {"rref": 571, "in_rowspace": 5300, "_contains": 4570, "product": 1040, "ideal_sum": 0,
+         "intersect": 0, "_close_under_shifts": 65, "classify_shape": 65, "contains": 0,
          "product_in": 0, "nodes": 48755},
     ),
     "verify_integral_closure": (
