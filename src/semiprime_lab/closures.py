@@ -10,8 +10,7 @@ so rule checks never skip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .errors import BudgetExceeded, DomainGap, PreconditionNotMet, WrongRing
 from .ideals import (
@@ -34,14 +33,16 @@ from .ideals import (
 )
 from .series import MAX_EXPONENT, TruncatedSeries
 
-@dataclass
 class ClosureOperation:
     """A named closure operation, either rule-backed or table-backed."""
 
-    name: str
-    kind: str  # "rule" | "table"
-    fn: object = None
-    table: dict = None
+    __slots__ = ("name", "kind", "fn", "table")
+
+    def __init__(self, name: str, kind: str, fn=None, table: dict = None):
+        self.name = name
+        self.kind = kind  # "rule" | "table"
+        self.fn = fn
+        self.table = table
 
     def __call__(self, x):
         if self.kind == "rule":
@@ -290,15 +291,18 @@ class ChainDomain:
         return [0] + self.principals() if prime else [0]
 
 
-@dataclass
 class Witness:
     """A replayable axiom violation: inputs plus the computed values."""
 
-    axiom: int
-    inputs: tuple
-    values: tuple
-    detail: str
-    _source: tuple = dc_field(default=None, repr=False)  # (op, domain)
+    __slots__ = ("axiom", "inputs", "values", "detail", "_source")
+
+    def __init__(self, axiom: int, inputs: tuple, values: tuple, detail: str,
+                 _source: tuple = None):
+        self.axiom = axiom
+        self.inputs = inputs
+        self.values = values
+        self.detail = detail
+        self._source = _source  # (op, domain)
 
     def replay(self) -> bool:
         """Recompute the cited instance through a fresh value reader, not the
@@ -308,12 +312,15 @@ class Witness:
         return not holds
 
 
-@dataclass
 class AxiomResult:
-    axiom: int
-    checked: int = 0
-    skipped: int = 0
-    witnesses: list = dc_field(default_factory=list)
+    __slots__ = ("axiom", "checked", "skipped", "witnesses")
+
+    def __init__(self, axiom: int, checked: int = 0, skipped: int = 0,
+                 witnesses: list = None):
+        self.axiom = axiom
+        self.checked = checked
+        self.skipped = skipped
+        self.witnesses = [] if witnesses is None else witnesses
 
     @property
     def verdict(self) -> str:
@@ -336,12 +343,15 @@ class AxiomResult:
         }
 
 
-@dataclass
 class AxiomReport:
-    op_name: str
-    results: dict
-    domain_size: int
-    advisory: bool = False
+    __slots__ = ("op_name", "results", "domain_size", "advisory")
+
+    def __init__(self, op_name: str, results: dict, domain_size: int,
+                 advisory: bool = False):
+        self.op_name = op_name
+        self.results = results
+        self.domain_size = domain_size
+        self.advisory = advisory
 
     def passed(self, axioms=None) -> bool:
         axioms = axioms if axioms is not None else self.results.keys()
@@ -383,7 +393,8 @@ class _Values:
         return v
 
 
-class AxiomSpec(NamedTuple):
+class AxiomSpec(namedtuple("AxiomSpec", "name detail instances check at_product on_ids",
+                           defaults=(False, None))):
     """One axiom: ``instances(domain)`` yields input tuples, and
     ``check(f, domain, *inputs)`` returns ``(holds, cited_values)``.
     ``at_product``: the check reads f at the product of its two inputs.
@@ -392,12 +403,7 @@ class AxiomSpec(NamedTuple):
     products)`` tests bits of the containment rows and reads the product
     table, and returns ``(checked, skipped, [(inputs, values), ...])``."""
 
-    name: str
-    detail: str
-    instances: Callable
-    check: Callable
-    at_product: bool = False
-    on_ids: Callable = None
+    __slots__ = ()
 
 
 def _singles(domain):
@@ -650,11 +656,13 @@ def builtin(name: str, ring: Ring, m: int | None = None) -> ClosureOperation:
     raise ValueError(f"unknown builtin operation {name!r}")
 
 
-@dataclass
 class FractionalOutcome:
-    kind: str  # "witness" | "certified_identity_only" | "no_violation_found"
-    witness: dict | None = None
-    verified: bool = False
+    __slots__ = ("kind", "witness", "verified")
+
+    def __init__(self, kind: str, witness: dict | None = None, verified: bool = False):
+        self.kind = kind  # "witness" | "certified_identity_only" | "no_violation_found"
+        self.witness = witness
+        self.verified = verified
 
     def to_json(self) -> dict:
         return {"outcome": self.kind, "witness": self.witness, "verified": self.verified}

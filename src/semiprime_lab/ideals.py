@@ -13,7 +13,6 @@ ever loses precision, whatever the order involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
     UnsupportedSemigroup,
     ZeroInput,
 )
+from .frozen import Frozen, set_field
 from .linalg import in_rowspace, rowspaces_intersect, rref
 from .semigroup import NumericalSemigroup
 from .series import PrimeField, TruncatedSeries, monomial, parse_series
@@ -37,12 +37,22 @@ UNIT = "unit"
 PROPER = "proper"
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Frozen):
     """The power-series ring K[[t^S]] for a numerical semigroup S."""
 
-    semigroup: NumericalSemigroup
-    field: PrimeField
+    __slots__ = _fields = ("semigroup", "field")
+
+    def __init__(self, semigroup: NumericalSemigroup, field: PrimeField):
+        set_field(self, "semigroup", semigroup)
+        set_field(self, "field", field)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.semigroup, self.field) == (other.semigroup, other.field)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.semigroup, self.field))
 
     @property
     def conductor(self) -> int:
@@ -71,8 +81,7 @@ class Ring:
         return f"F_{self.field.p}[[t^{self.semigroup}]]"
 
 
-@dataclass(frozen=True, slots=True)
-class IdealCanon:
+class IdealCanon(Frozen):
     """Canonical form of an ideal: kind, order and RREF coefficient window.
 
     Instances are memo keys throughout the search, so the hash and the sort
@@ -80,19 +89,29 @@ class IdealCanon:
     slots that take no part in equality or ``repr``.
     """
 
-    ring: Ring
-    kind: str
-    order: int | None
-    window: tuple[tuple[int, ...], ...]
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
-    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("ring", "kind", "order", "window")
+    __slots__ = _fields + ("_hash", "_key")
+
+    def __init__(self, ring: Ring, kind: str, order: int | None,
+                 window: tuple[tuple[int, ...], ...]):
+        set_field(self, "ring", ring)
+        set_field(self, "kind", kind)
+        set_field(self, "order", order)
+        set_field(self, "window", window)
+        set_field(self, "_hash", None)
+        set_field(self, "_key", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.ring, self.kind, self.order, self.window)
+                    == (other.ring, other.kind, other.order, other.window))
+        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            # the value the generated dataclass hash would give
             h = hash((self.ring, self.kind, self.order, self.window))
-            object.__setattr__(self, "_hash", h)
+            set_field(self, "_hash", h)
         return h
 
     def is_zero(self) -> bool:
@@ -120,7 +139,7 @@ def canonical_key(I: IdealCanon):
             k = (1, I.order, I.window)
         else:
             k = (2, 0, ())
-        object.__setattr__(I, "_key", k)
+        set_field(I, "_key", k)
     return k
 
 
@@ -497,15 +516,27 @@ def _rref_count(m: int, p: int) -> int:
     return cur - prev
 
 
-@dataclass(frozen=True)
-class ShapeTag:
+class ShapeTag(Frozen):
     """Symbolic normal form of an ideal: family name, order, parameters and
     the explicit generator term lists ((exponent, coefficient), ...)."""
 
-    family: str
-    order: int
-    params: tuple[int, ...]
-    gen_terms: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = _fields = ("family", "order", "params", "gen_terms")
+
+    def __init__(self, family: str, order: int, params: tuple[int, ...],
+                 gen_terms: tuple[tuple[tuple[int, int], ...], ...]):
+        set_field(self, "family", family)
+        set_field(self, "order", order)
+        set_field(self, "params", params)
+        set_field(self, "gen_terms", gen_terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.family, self.order, self.params, self.gen_terms)
+                    == (other.family, other.order, other.params, other.gen_terms))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.order, self.params, self.gen_terms))
 
     def code(self) -> str:
         inner = str(self.order)

@@ -23,8 +23,6 @@ assignment or instance lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BudgetExceeded
 from .closures import ChainDomain, ClosureOperation, check_axioms, check_pairs, ideal_window
 from .ideals import Ring, _bits
@@ -35,10 +33,12 @@ PRIME = "prime"
 SEMIPRIME = "semiprime"
 
 
-@dataclass
 class SearchResult:
-    operations: list
-    stats: dict
+    __slots__ = ("operations", "stats")
+
+    def __init__(self, operations: list, stats: dict):
+        self.operations = operations
+        self.stats = stats
 
     def is_identity_only(self) -> bool:
         return len(self.operations) == 1 and self.operations[0].name == "identity"

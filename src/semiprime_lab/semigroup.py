@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import EmptyGenerators, NotCoprime
+from .frozen import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(Frozen):
     """The semigroup <g_1, ..., g_k> together with its gap data.
 
     ``gaps`` is the full finite set of positive integers that are not sums
@@ -18,14 +17,25 @@ class NumericalSemigroup:
     every integer belongs to the semigroup.
     """
 
-    generators: tuple[int, ...]
-    gaps: tuple[int, ...]
-    frobenius: int
-    conductor: int
-    _gap_set: frozenset = field(init=False, repr=False, compare=False, hash=False)
+    _fields = ("generators", "gaps", "frobenius", "conductor")
+    __slots__ = _fields + ("_gap_set",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_gap_set", frozenset(self.gaps))
+    def __init__(self, generators: tuple[int, ...], gaps: tuple[int, ...],
+                 frobenius: int, conductor: int):
+        set_field(self, "generators", generators)
+        set_field(self, "gaps", gaps)
+        set_field(self, "frobenius", frobenius)
+        set_field(self, "conductor", conductor)
+        set_field(self, "_gap_set", frozenset(gaps))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.generators, self.gaps, self.frobenius, self.conductor)
+                    == (other.generators, other.gaps, other.frobenius, other.conductor))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.generators, self.gaps, self.frobenius, self.conductor))
 
     @property
     def multiplicity(self) -> int:

@@ -9,9 +9,9 @@ ideal arithmetic itself works on canonical windows (see ``ideals``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import NotInRing
+from .frozen import Frozen, set_field
 from .semigroup import NumericalSemigroup
 
 _PRIMES_TO_97 = frozenset(
@@ -20,19 +20,26 @@ _PRIMES_TO_97 = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Frozen):
     """Prime field F_p, 2 <= p <= 97; arithmetic is exact mod p."""
 
-    p: int
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p not in _PRIMES_TO_97:
-            raise ValueError(f"p must be a prime in [2, 97], got {self.p}")
+    def __init__(self, p: int):
+        set_field(self, "p", p)
+        if p not in _PRIMES_TO_97:
+            raise ValueError(f"p must be a prime in [2, 97], got {p}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Coefficient vector on exponents ``0..bound-1`` over a prime field.
 
     ``semigroup`` is the optional support constraint: when set, every
@@ -40,21 +47,32 @@ class TruncatedSeries:
     series is an element of K[[t^S]] rather than of K[[t]].
     """
 
-    field: PrimeField
-    coeffs: tuple[int, ...]
-    semigroup: NumericalSemigroup | None = None
+    __slots__ = _fields = ("field", "coeffs", "semigroup")
 
-    def __post_init__(self):
-        p = self.field.p
-        object.__setattr__(self, "coeffs", tuple(c % p for c in self.coeffs))
-        if not self.coeffs:
+    def __init__(self, field: PrimeField, coeffs: tuple[int, ...],
+                 semigroup: NumericalSemigroup | None = None):
+        p = field.p
+        coeffs = tuple(c % p for c in coeffs)
+        set_field(self, "field", field)
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "semigroup", semigroup)
+        if not coeffs:
             raise ValueError("a series needs bound >= 1")
-        if self.semigroup is not None:
-            for e, c in enumerate(self.coeffs):
-                if c and not self.semigroup.contains(e):
+        if semigroup is not None:
+            for e, c in enumerate(coeffs):
+                if c and not semigroup.contains(e):
                     raise NotInRing(
-                        f"coefficient at t^{e}, but {e} is a gap of {self.semigroup}"
+                        f"coefficient at t^{e}, but {e} is a gap of {semigroup}"
                     )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.field, self.coeffs, self.semigroup)
+                    == (other.field, other.coeffs, other.semigroup))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs, self.semigroup))
 
     @property
     def bound(self) -> int:

@@ -4,6 +4,9 @@ An option or an export that is added or removed fails here, so a change to
 the surface is made on purpose and the pins below are updated with it."""
 
 import argparse
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +51,14 @@ def test_a_removed_option_is_an_argparse_usage_error(capsys):
 @pytest.mark.parametrize("name", semiprime_lab.__all__)
 def test_every_export_resolves(name):
     assert getattr(semiprime_lab, name) is not None
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    """These modules cost start-up time on every CLI run.  ``-S`` keeps out
+    what ``site`` (and the ``.pth`` files it runs) would load."""
+    src = Path(semiprime_lab.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import semiprime_lab.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
