@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import BudgetExceeded, DomainGap, PreconditionNotMet, WrongRing
+from .errors import BudgetExceeded, DomainGap, PreconditionNotMet, RingMismatch, WrongRing
 from .ideals import (
+    PROPER,
     IdealCanon,
     Ring,
     _bits,
@@ -56,13 +57,20 @@ class ClosureOperation:
         return self.kind == "rule" or x in self.table
 
 
-def _pair(a, b):
-    """The memo key of the unordered pair {a, b}."""
-    return (a, b) if canonical_key(a) <= canonical_key(b) else (b, a)
-
-
 class IdealSetDomain:
-    """A finite set of canonical ideals of one ring, with cached arithmetic."""
+    """A finite set of canonical ideals of one ring, with cached arithmetic.
+
+    The product, sum, intersection and containment of two proper ideals of
+    the ring depend only on their windows and on the gap d between their
+    orders, and windows repeat at every order.  So each is computed once
+    per unordered window pair (the product) or per (window, window, d)
+    triple, the lower-order operand's window first (the rest), and kept as
+    the window id of the result; the intersection also keeps its order
+    past the higher-order operand.  For d >= c no work is needed: the
+    higher-order ideal lies in the lower-order one.  Unit and zero
+    operands go through the ``ideals`` functions.  Every ideal result is
+    the instance that ``_at`` holds at its order and window: the set's own
+    element where the set has it, else one built on first use."""
 
     def __init__(self, ideals):
         elements = sorted(set(ideals), key=canonical_key)
@@ -77,57 +85,86 @@ class IdealSetDomain:
         self._rows = None
         self._table = None
         self._principals = None
-        self._prod, self._sum, self._meet, self._cont = {}, {}, {}, {}
+        self._labels = {}
+        # window ids both ways; the window id of each instance seen, -1 for
+        # the unit and zero; the instance at each (order, window id)
+        self._window_ids, self._windows, self._wid, self._at = {}, [], {}, {}
+        for I in elements:
+            self._register(I)
+        # window id pair -> product window id; (wid, wid, d) -> sum window
+        # id, (order offset, window id) of the intersection, or containment
+        self._products, self._sums, self._meets, self._contained = {}, {}, {}, {}
 
-    def _memo(self, memo, op, a, b):
-        """op(a, b) for a symmetric op, computed once per unordered pair."""
-        key = _pair(a, b)
-        r = memo.get(key)
-        if r is None:
-            r = op(*key)
-            memo[key] = r
-        return r
+    def _register(self, I):
+        """The window id of an ideal first seen here, after checking its
+        ring; it becomes the instance at its order and window if none is."""
+        if I.ring != self.ring:
+            raise RingMismatch(f"{self.ring} vs {I.ring}")
+        w = -1
+        if I.kind == PROPER:
+            w = self._window_ids.get(I.window)
+            if w is None:
+                w = self._window_ids[I.window] = len(self._windows)
+                self._windows.append(I.window)
+        self._wid[I] = w
+        self._at.setdefault((I.order, w), I)
+        return w
+
+    def _window_id(self, I):
+        """The window id of an ideal of the ring, -1 for the unit and zero,
+        looked up by the instance, whose hash is cached."""
+        w = self._wid.get(I)
+        return self._register(I) if w is None else w
+
+    def _ids(self, a, b):
+        """``_window_id`` of two operands, in one call on the hot paths."""
+        wid = self._wid
+        wa, wb = wid.get(a), wid.get(b)
+        if wa is None:
+            wa = self._register(a)
+        if wb is None:
+            wb = self._register(b)
+        return wa, wb
+
+    def _instance(self, order, w):
+        """The proper ideal of this order with window ``w``, built on first use."""
+        I = self._at.get((order, w))
+        if I is None:
+            I = self._at[order, w] = IdealCanon(self.ring, PROPER, order, self._windows[w])
+            self._wid[I] = w
+        return I
+
+    def canonical(self, I):
+        """The domain's own instance of an ideal of its ring: the element
+        itself where the set has I, else the instance its memos hold."""
+        return self._at[I.order, self._window_id(I)]
 
     def product(self, a, b):
-        return self._memo(self._prod, ideal_product, a, b)
+        wa, wb = self._ids(a, b)
+        if wa < 0 or wb < 0:
+            return self.canonical(ideal_product(a, b))
+        key = (wa, wb) if wa <= wb else (wb, wa)
+        w = self._products.get(key)
+        if w is None:
+            w = self._products[key] = self._window_id(ideal_product(a, b))
+        return self._instance(a.order + b.order, w)
 
     def product_table(self):
         """``table[i][j]``: the index of elements[i]*elements[j] in the set,
-        or -1 where the product leaves it; built on first use.  Orders add,
-        so a product of proper ideals whose orders sum past the top order is
-        never formed.  The window of a proper product depends only on the
-        factors' windows, so it is formed once per unordered pair of
-        windows, and every other pair with those windows is placed at the
-        element of order A.order + B.order with that window, if the set has
-        one.  The memo then keeps the set's own instance of each product, so
-        a later ``product`` of the same pair needs no deep comparison."""
+        or -1 where the product leaves it; built on first use from the
+        product memo.  Orders add, so a product of proper ideals whose
+        orders sum past the top order is never formed."""
         if self._table is None:
             elts, index = self.elements, self._index
             n = len(elts)
             top = max((I.order for I in elts if I.is_proper()), default=0)
             table = [[-1] * n for _ in range(n)]
-            # window ids; the proper elements by (order, window id); and the
-            # window id of each product formed, -1 for a window no element has
-            wid: dict = {}
-            w = [wid.setdefault(I.window, len(wid)) for I in elts]
-            at = {(I.order, w[i]): i for i, I in enumerate(elts) if I.is_proper()}
-            windows: dict = {}
             for i, A in enumerate(elts):
                 for j in range(i, n):
                     B = elts[j]
-                    if not (A.is_proper() and B.is_proper()):
-                        k = index.get(self.product(A, B), -1)
-                    elif A.order + B.order > top:
+                    if A.kind == B.kind == PROPER and A.order + B.order > top:
                         continue
-                    else:
-                        pair = (w[i], w[j]) if w[i] <= w[j] else (w[j], w[i])
-                        pw = windows.get(pair)
-                        if pw is None:
-                            pw = windows[pair] = wid.get(self.product(A, B).window, -1)
-                        k = at.get((A.order + B.order, pw), -1)
-                    if k >= 0:
-                        self._prod[A, B] = elts[k]  # (A, B) is in key order: _pair's key
-                    table[i][j] = table[j][i] = k
+                    table[i][j] = table[j][i] = index.get(self.product(A, B), -1)
             self._table = table
         return self._table
 
@@ -137,11 +174,40 @@ class IdealSetDomain:
         k = self.product_table()[self._index[a]][self._index[b]]
         return None if k < 0 else self.elements[k]
 
+    @staticmethod
+    def _lower_first(a, wa, b, wb):
+        """Two proper ideals and their window ids as (lower-order ideal,
+        higher-order ideal, memo key): the key is (window id, window id, d),
+        d the gap between their orders, the ids in increasing order at d = 0."""
+        d = b.order - a.order
+        if d < 0 or d == 0 and wb < wa:
+            a, b, wa, wb, d = b, a, wb, wa, -d
+        return a, b, (wa, wb, d)
+
     def sum(self, a, b):
-        return self._memo(self._sum, ideal_sum, a, b)
+        wa, wb = self._ids(a, b)
+        if wa < 0 or wb < 0:
+            return self.canonical(ideal_sum(a, b))
+        lo, hi, key = self._lower_first(a, wa, b, wb)
+        if key[2] >= self.ring.conductor:
+            return self._at[lo.order, key[0]]  # hi lies in lo
+        w = self._sums.get(key)
+        if w is None:
+            w = self._sums[key] = self._window_id(ideal_sum(lo, hi))
+        return self._instance(lo.order, w)
 
     def intersect(self, a, b):
-        return self._memo(self._meet, ideal_intersect, a, b)
+        wa, wb = self._ids(a, b)
+        if wa < 0 or wb < 0:
+            return self.canonical(ideal_intersect(a, b))
+        lo, hi, key = self._lower_first(a, wa, b, wb)
+        if key[2] >= self.ring.conductor:
+            return self._at[hi.order, key[1]]  # hi lies in lo
+        r = self._meets.get(key)
+        if r is None:
+            M = ideal_intersect(lo, hi)
+            r = self._meets[key] = (M.order - hi.order, self._window_id(M))
+        return self._instance(hi.order + r[0], r[1])
 
     def containment(self):
         """``rows[i]``: the bitset of the j with elements[i] containing
@@ -153,21 +219,25 @@ class IdealSetDomain:
         return self._rows
 
     def contains(self, a, b) -> bool:
-        """True iff a contains b.  A search builds the containment rows
-        first and reads them here; ``verify`` never builds them, so each
-        pair it asks about is tested once and kept in ``_cont``."""
+        """True iff a contains b: read off the containment rows once a
+        search has built them, else from the (window, window, d) memo."""
         if self._rows is not None:
             i = self._index.get(a)
             j = self._index.get(b)
             if i is not None and j is not None:
                 return self._rows[i] >> j & 1 == 1
-        if a.is_proper() and not b.is_zero() and a.order > b.order:
-            return False  # b (proper or the unit) has an element of order below a's
-        key = (a, b)
-        r = self._cont.get(key)
+        wa, wb = self._ids(a, b)
+        if wa < 0 or wb < 0:
+            return ideal_contains(a, b)
+        d = b.order - a.order
+        if d < 0:
+            return False  # b has an element of order below a's
+        if d >= self.ring.conductor:
+            return True
+        key = (wa, wb, d)
+        r = self._contained.get(key)
         if r is None:
-            r = ideal_contains(a, b)
-            self._cont[key] = r
+            r = self._contained[key] = ideal_contains(a, b)
         return r
 
     def principals(self):
@@ -183,7 +253,11 @@ class IdealSetDomain:
         return self.elements[0] if self.elements[0].is_unit() else None
 
     def describe(self, x) -> str:
-        return ideal_label(x)
+        """The label of x, made once per ideal."""
+        s = self._labels.get(x)
+        if s is None:
+            s = self._labels[x] = ideal_label(x)
+        return s
 
     key = staticmethod(canonical_key)
 
@@ -242,6 +316,10 @@ class ChainDomain:
 
     def product(self, a, b):
         return a + b
+
+    @staticmethod
+    def canonical(i):
+        return i
 
     def product_in(self, a, b):
         r = a + b
@@ -377,10 +455,13 @@ class _Values:
     A value outside a table raises ``_Undefined``.  ``exact``: every key of
     the table lies in the domain, so the table is undefined at any product
     outside it, and ``check_axioms`` skips such an instance before it reads
-    a value or forms the product."""
+    a value or forms the product.  Each value is kept as the domain's own
+    instance of it (``canonical``), so the domain's memos meet it by
+    identity rather than by a deep comparison."""
 
     def __init__(self, op, domain):
         self.op = op
+        self.domain = domain
         self.memo = {}
         self.exact = op.kind == "table" and op.table.keys() <= set(domain.elements)
 
@@ -389,7 +470,7 @@ class _Values:
         if v is None:
             if not self.op.defined_at(x):
                 raise _Undefined
-            v = self.memo[x] = self.op(x)
+            v = self.memo[x] = self.domain.canonical(self.op(x))
         return v
 
 

@@ -427,11 +427,13 @@ def integral_closure_ideal(I: IdealCanon) -> IdealCanon:
 def enumerate_ideals(ring: Ring, max_order: int, budget: int = 2_000_000) -> list[IdealCanon]:
     """All proper ideals of order <= max_order, plus UNIT, in canonical order.
 
-    For each order the RREF window is grown row by row from the last pivot
-    up (see ``_shift_closed_windows``), so no candidate matrix is formed
-    whole.  The ``InfeasibleEnumeration`` guard counts every RREF matrix on
-    the allowed columns, in closed form (``_rref_count``); that overstates
-    the work the pruned growth does, but fixes which windows are refused.
+    For each set of allowed columns the RREF windows are grown row by row
+    from the last pivot up (see ``_shift_closed_windows``), so no candidate
+    matrix is formed whole; the windows depend on the order only through
+    that set, so every order >= c shares one growth.  The
+    ``InfeasibleEnumeration`` guard counts every RREF matrix on the allowed
+    columns, in closed form (``_rref_count``); that overstates the work the
+    pruned growth does, but fixes which windows are refused.
     A negative ``max_order`` is refused with ``ValueError``.
     """
     if max_order < 0:
@@ -453,10 +455,13 @@ def enumerate_ideals(ring: Ring, max_order: int, budget: int = 2_000_000) -> lis
     out = [unit_ideal(ring)]
     orders = [n for n in range(1, max_order + 1) if S.contains(n)]
     shifts = [g for g in S.generators if g < c]
+    grown: dict = {}  # allowed columns -> their windows in canonical order
     for n in orders:
-        found = [_proper(ring, n, w) for w in _shift_closed_windows(allowed(n), shifts, c, p)]
-        found.sort(key=canonical_key)
-        out.extend(found)
+        cols = tuple(allowed(n))
+        windows = grown.get(cols)
+        if windows is None:
+            windows = grown[cols] = sorted(_shift_closed_windows(cols, shifts, c, p))
+        out.extend(_proper(ring, n, w) for w in windows)
     return out
 
 
@@ -737,10 +742,16 @@ def containment_rows(ideals):
     the contained ideal, whose pairs then need no test.  No pair is skipped
     by list position: a proper ideal can contain one of its own order that
     sorts before it.  A pair whose value sets (``_value_set``) are not
-    nested is rejected without row reduction.
+    nested is rejected without row reduction.  Whether a proper A contains
+    a proper B depends only on their windows and on d = B.order - A.order,
+    so each (window, window, d) triple is tested once; d >= c needs no test.
     """
     n = len(ideals)
     values = [_value_set(I) for I in ideals]
+    wid: dict = {}
+    w = [wid.setdefault(I.window, len(wid)) if I.kind == PROPER else -1 for I in ideals]
+    c = ideals[0].ring.conductor if ideals else 0
+    tested: dict = {}
     rows = [0] * n
     for i in reversed(range(n)):
         A = ideals[i]
@@ -748,8 +759,18 @@ def containment_rows(ideals):
         piv = _pivots(A)
         row = 0
         for j, B in enumerate(ideals):
-            if (i != j and not row >> j & 1 and not values[j] & outside
-                    and _contains(A, B, piv)):
+            if i == j or row >> j & 1 or values[j] & outside:
+                continue
+            if w[i] < 0 or w[j] < 0:
+                hit = _contains(A, B, piv)
+            elif (d := B.order - A.order) >= c:  # nested value sets: d >= 0
+                hit = True
+            else:
+                key = (w[i], w[j], d)
+                hit = tested.get(key)
+                if hit is None:
+                    hit = tested[key] = _contains(A, B, piv)
+            if hit:
                 row |= 1 << j | rows[j]
         rows[i] = row
     return rows

@@ -425,6 +425,24 @@ def test_enumerate_matches_brute_force_enumerator(gens, p, max_order):
     assert enumerate_ideals(ring, max_order) == enumerate_ideals_oracle(ring, max_order)
 
 
+def test_enumerate_grows_each_allowed_column_set_once(monkeypatch):
+    # <2,7> over F_2 at order 12: nine orders in S allow three column sets,
+    # {0,2,4,5} at order 2, {0,2,3,4,5} at order 4 and all six from order 6
+    grown = []
+    real = ideals_module._shift_closed_windows
+
+    def recording(allowed, *args):
+        grown.append(tuple(allowed))
+        return real(allowed, *args)
+
+    monkeypatch.setattr(ideals_module, "_shift_closed_windows", recording)
+    ring = Ring(from_generators([2, 7]), F2)
+    ideals = enumerate_ideals(ring, 12)
+    assert grown == [(0, 2, 4, 5), (0, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)]
+    assert len({I.order for I in ideals if I.is_proper()}) == 9
+    assert ideals == enumerate_ideals_oracle(ring, 12)
+
+
 def test_enumerate_forms_few_shift_images(monkeypatch):
     # Forming every RREF matrix whole and testing it afterwards takes
     # 2,118,398 shift images here; growing the rows prunes early.

@@ -17,6 +17,7 @@ from semiprime_lab.closures import (
     ideal_window,
 )
 from semiprime_lab.ideals import (
+    IdealCanon,
     Ring,
     _value_set,
     contains,
@@ -251,15 +252,27 @@ def test_containment_rows_reject_by_value_set_first(monkeypatch):
     assert (K, M) not in tested and (I, M) not in tested
 
 
-def test_domain_contains_reads_the_rows():
+def test_domain_contains_reads_the_rows(monkeypatch):
+    # without rows each pair is tested (once per window triple); once the
+    # rows are built, contains on two elements tests nothing
+    tested = []
+    real = closures.ideal_contains
+
+    def recording(a, b):
+        tested.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(closures, "ideal_contains", recording)
     dom = ideal_window(ring([3, 4, 5], 2), 6)
     pairs = [(a, b) for a in dom.elements for b in dom.elements]
     before = [dom.contains(a, b) for a, b in pairs]
-    assert dom._cont
+    assert before == [real(a, b) for a, b in pairs]
+    assert tested
     fresh = ideal_window(ring([3, 4, 5], 2), 6)
     fresh.containment()
+    tested.clear()
     assert [fresh.contains(a, b) for a, b in pairs] == before
-    assert not fresh._cont
+    assert tested == []
 
 
 TINY_SEARCHES = [
@@ -327,8 +340,12 @@ def test_principals_form_no_product(monkeypatch):
 
 
 def test_product_in_keeps_the_window_instance_in_the_memo():
+    # a product, sum or intersection that lies in the set is the set's own
+    # instance, also when asked of equal copies of the elements; any other
+    # result is built once, so asking again returns the same instance
     domain = ideal_window(ring([2, 5], 3), 8)
     own = {I: I for I in domain.elements}
+    copies = [IdealCanon(I.ring, I.kind, I.order, I.window) for I in domain.elements]
     for A in domain.elements:
         for B in domain.elements:
             P = domain.product_in(A, B)
@@ -339,6 +356,18 @@ def test_product_in_keeps_the_window_instance_in_the_memo():
             assert domain.product(A, B) is P
             assert domain.product(B, A) is P
             assert P == product(A, B)
+    outside = 0
+    for name in ("product", "sum", "intersect"):
+        op = getattr(domain, name)
+        for A, A2 in zip(domain.elements, copies):
+            for B, B2 in zip(domain.elements, copies):
+                R = op(A, B)
+                assert op(B2, A2) is R and op(A2, B) is R, (name, A, B)
+                if R in own:
+                    assert R is own[R], (name, A, B)
+                else:
+                    outside += 1
+    assert outside > 0
 
 
 def test_exact_table_reads_no_value_at_an_out_of_window_product(formed):

@@ -47,21 +47,21 @@ WRAPPED = [
 ANCHORS = {
     "search_2_7": (
         "search --gens 2,7 --p 2 --max-order 12 --margin 4", 0,
-        {"rref": 120, "in_rowspace": 3188, "_contains": 1841, "product": 353, "ideal_sum": 0,
+        {"rref": 120, "in_rowspace": 552, "_contains": 325, "product": 353, "ideal_sum": 0,
          "intersect": 0, "_close_under_shifts": 0, "classify_shape": 0, "contains": 0,
          "product_in": 0, "nodes": 188},
     ),
     "search_3_4_5": (
         "search --gens 3,4,5 --p 3 --max-order 7 --margin 2", 0,
-        {"rref": 571, "in_rowspace": 5300, "_contains": 4570, "product": 1040, "ideal_sum": 0,
+        {"rref": 571, "in_rowspace": 862, "_contains": 816, "product": 1040, "ideal_sum": 0,
          "intersect": 0, "_close_under_shifts": 65, "classify_shape": 65, "contains": 0,
          "product_in": 0, "nodes": 48755},
     ),
     "verify_integral_closure": (
         "verify --op integral_closure --gens 2,7 --p 2 --max-order 12", 0,
-        {"rref": 21428, "in_rowspace": 53029, "_contains": 7684, "product": 6903,
-         "ideal_sum": 6903, "intersect": 66, "_close_under_shifts": 9336,
-         "classify_shape": 2666, "contains": 43992, "product_in": 0},
+        {"rref": 1764, "in_rowspace": 7043, "_contains": 2501, "product": 1296,
+         "ideal_sum": 2173, "intersect": 479, "_close_under_shifts": 1368,
+         "classify_shape": 123, "contains": 43992, "product_in": 0},
     ),
 }
 
